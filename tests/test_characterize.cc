@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/rng.hh"
 #include "core/characterize.hh"
+#include "core/live.hh"
 #include "synth/family.hh"
 #include "synth/workload.hh"
 #include "trace/aggregate.hh"
@@ -90,6 +94,44 @@ TEST(Characterize, RenderGrowsWithScales)
     EXPECT_GT(c.render().size(), empty_len);
     EXPECT_NE(c.render().find("lifetime utilization"),
               std::string::npos);
+}
+
+TEST(Characterize, JsonRenderingIsPinned)
+{
+    DriveCharacterization c;
+    c.drive_id = "d\"r\\v\x01\t";
+    EXPECT_EQ(renderCharacterizationJson(c),
+              "{\"drive\":\"d\\\"r\\\\v\\u0001\\t\"}");
+
+    c.arrival_rate = 12.5;
+    c.read_fraction = 2.0 / 3.0;
+    c.mean_response_ms = std::numeric_limits<double>::quiet_NaN();
+    c.idle_fraction = 0.25;
+    BurstinessReport b;
+    b.interarrival_cv = 1.75;
+    b.peak_to_mean = 1e-7;
+    b.hurst_var.h = 0.8125;
+    b.hurst_rs.h = INFINITY;
+    b.idc = {{1, 1.5, 10}, {8, 42.0, 2}};
+    b.decorrelation_lag = 17;
+    c.ms_burstiness = b;
+    RwDynamics d;
+    d.mean_run_length = 3.25;
+    d.write_dominated_fraction = 123456789.125;
+    d.longest_write_run = 99;
+    d.write_bursts = 4;
+    c.ms_rw = d;
+    // Non-finite values render as null, finite ones as %.12g.
+    EXPECT_EQ(renderCharacterizationJson(c),
+              "{\"drive\":\"d\\\"r\\\\v\\u0001\\t\","
+              "\"arrival_rate\":12.5,\"read_fraction\":0.666666666667,"
+              "\"mean_response_ms\":null,\"idle_fraction\":0.25,"
+              "\"interarrival_cv\":1.75,\"peak_to_mean\":1e-07,"
+              "\"hurst_var\":0.8125,\"hurst_rs\":null,"
+              "\"idc_finest\":1.5,\"idc_coarsest\":42,"
+              "\"decorrelation_lag\":17,\"mean_run_length\":3.25,"
+              "\"write_dominated_fraction\":123456789.125,"
+              "\"longest_write_run\":99,\"write_bursts\":4}");
 }
 
 } // anonymous namespace
