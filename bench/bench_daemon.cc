@@ -16,22 +16,16 @@
  * trajectory for the network layer.
  */
 
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "benchutil.hh"
 #include "common/rng.hh"
 #include "daemon/server.hh"
+#include "net/client.hh"
 #include "obs/export.hh"
 #include "synth/workload.hh"
 #include "trace/csvio.hh"
@@ -49,57 +43,6 @@ nowSeconds()
         .count();
 }
 
-/** Connect to the local daemon; returns the fd or -1. */
-int
-dialLocal(std::uint16_t port)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return fd;
-}
-
-bool
-sendAll(int fd, const std::string &bytes)
-{
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n =
-            ::send(fd, bytes.data() + off, bytes.size() - off,
-                   MSG_NOSIGNAL);
-        if (n <= 0)
-            return false;
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/** Read until the peer closes; returns everything received. */
-std::string
-recvAll(int fd)
-{
-    std::string out;
-    char buf[65536];
-    for (;;) {
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n <= 0)
-            break;
-        out.append(buf, static_cast<std::size_t>(n));
-    }
-    return out;
-}
-
 /**
  * One full csv streaming session; returns the report text, or the
  * empty string on any protocol failure.
@@ -108,26 +51,11 @@ std::string
 streamOnce(std::uint16_t port, const std::string &payload,
            const std::string &tenant)
 {
-    const int fd = dialLocal(port);
-    if (fd < 0)
-        return {};
-    std::string report;
-    if (sendAll(fd, "DLWS1 csv " + tenant + "\n") &&
-        sendAll(fd, payload)) {
-        ::shutdown(fd, SHUT_WR);
-        const std::string raw = recvAll(fd);
-        // "DLWS1 ok <id>\n" then "DLWR1 ok <n>\n<report>".
-        const std::size_t ack = raw.find('\n');
-        if (ack != std::string::npos &&
-            raw.compare(0, 8, "DLWS1 ok") == 0) {
-            const std::size_t hdr = raw.find('\n', ack + 1);
-            if (hdr != std::string::npos &&
-                raw.compare(ack + 1, 8, "DLWR1 ok") == 0)
-                report = raw.substr(hdr + 1);
-        }
-    }
-    ::close(fd);
-    return report;
+    net::StreamHello hello;
+    hello.tenant = tenant;
+    StatusOr<std::string> report = net::streamReport(
+        "127.0.0.1", port, hello, payload, net::ClientTimeouts{});
+    return report.ok() ? report.value() : std::string();
 }
 
 } // anonymous namespace
@@ -223,11 +151,15 @@ main()
     }
     std::thread shed_loop([&shed_server] { (void)shed_server.run(); });
 
-    std::vector<int> held;
-    for (int i = 0; i < kHold; ++i) {
-        const int fd = dialLocal(shed_server.port());
-        if (fd >= 0 && sendAll(fd, "DLWS1 csv hold\n"))
-            held.push_back(fd);
+    // The holders never read their ack, so closing them resets the
+    // connections rather than ending the sessions cleanly.
+    std::vector<net::Client> held(kHold);
+    for (net::Client &c : held) {
+        if (c.connect("127.0.0.1", shed_server.port(),
+                      net::ClientTimeouts{})
+                .ok())
+            (void)c.sendAll(
+                net::renderStreamHello(net::StreamFormat::kCsv, "hold"));
     }
     // Let the event loop accept the holders before probing.
     while (shed_server.activeConnections() <
@@ -236,16 +168,15 @@ main()
 
     int shed = 0;
     const double t1 = nowSeconds();
+    net::StreamHello probe;
+    probe.tenant = "probe";
     for (int i = 0; i < kProbes; ++i) {
-        const int fd = dialLocal(shed_server.port());
-        if (fd < 0)
-            continue;
-        sendAll(fd, "DLWS1 csv probe\n");
-        ::shutdown(fd, SHUT_WR);
-        if (recvAll(fd).find("DLWR1 error overloaded") !=
-            std::string::npos)
+        net::StreamClient c;
+        const Status st = c.open("127.0.0.1", shed_server.port(),
+                                 probe, net::ClientTimeouts{});
+        if (st.code() == StatusCode::kUnavailable &&
+            st.message() == "server overloaded")
             ++shed;
-        ::close(fd);
     }
     const double shed_s = nowSeconds() - t1;
 
@@ -259,8 +190,7 @@ main()
         ok = false;
     }
 
-    for (const int fd : held)
-        ::close(fd);
+    held.clear();
     shed_server.requestStop();
     shed_loop.join();
     server.requestStop();

@@ -253,8 +253,7 @@ runKernelPhase()
     std::vector<double> gaps_out(kBatch);
 
     std::vector<KernelRow> rows;
-    for (simd::Isa isa :
-         {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2}) {
+    for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
         if (!simd::supported(isa))
             continue;
         rows.push_back(timeIsa(isa, lin_xs, log_xs, ticks, gap_xs,

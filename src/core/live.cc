@@ -1,8 +1,9 @@
 #include "core/live.hh"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
+
+#include "common/json.hh"
 
 namespace dlw
 {
@@ -33,62 +34,6 @@ class MetaSource final : public trace::RequestSource
   private:
     trace::MsStreamHeader m_;
 };
-
-/** JSON number: finite values via %.12g, everything else null. */
-void
-jsonNum(std::ostringstream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    os << buf;
-}
-
-void
-jsonField(std::ostringstream &os, bool &first, const char *key,
-          double v)
-{
-    os << (first ? "" : ",") << '"' << key << "\":";
-    jsonNum(os, v);
-    first = false;
-}
-
-void
-jsonField(std::ostringstream &os, bool &first, const char *key,
-          std::uint64_t v)
-{
-    os << (first ? "" : ",") << '"' << key << "\":" << v;
-    first = false;
-}
-
-/** Escape the characters JSON strings cannot carry verbatim. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 } // anonymous namespace
 
@@ -205,44 +150,46 @@ LiveCharacterization::finish()
 std::string
 renderCharacterizationJson(const DriveCharacterization &c)
 {
-    std::ostringstream os;
-    bool first = true;
-    os << '{';
-    os << "\"drive\":\"" << jsonEscape(c.drive_id) << '"';
-    first = false;
+    std::string out;
+    JsonWriter w(out);
+    // Non-finite figures (a fit on too few points) render as null.
+    const auto field = [&w](const char *key, double v) {
+        w.key(key);
+        if (std::isfinite(v))
+            w.num(v);
+        else
+            w.null();
+    };
+    w.beginObject().key("drive").str(c.drive_id);
     if (c.arrival_rate)
-        jsonField(os, first, "arrival_rate", *c.arrival_rate);
+        field("arrival_rate", *c.arrival_rate);
     if (c.read_fraction)
-        jsonField(os, first, "read_fraction", *c.read_fraction);
+        field("read_fraction", *c.read_fraction);
     if (c.mean_response_ms)
-        jsonField(os, first, "mean_response_ms", *c.mean_response_ms);
+        field("mean_response_ms", *c.mean_response_ms);
     if (c.idle_fraction)
-        jsonField(os, first, "idle_fraction", *c.idle_fraction);
+        field("idle_fraction", *c.idle_fraction);
     if (c.ms_burstiness) {
         const BurstinessReport &b = *c.ms_burstiness;
-        jsonField(os, first, "interarrival_cv", b.interarrival_cv);
-        jsonField(os, first, "peak_to_mean", b.peak_to_mean);
-        jsonField(os, first, "hurst_var", b.hurst_var.h);
-        jsonField(os, first, "hurst_rs", b.hurst_rs.h);
+        field("interarrival_cv", b.interarrival_cv);
+        field("peak_to_mean", b.peak_to_mean);
+        field("hurst_var", b.hurst_var.h);
+        field("hurst_rs", b.hurst_rs.h);
         if (!b.idc.empty()) {
-            jsonField(os, first, "idc_finest", b.idc.front().idc);
-            jsonField(os, first, "idc_coarsest", b.idc.back().idc);
+            field("idc_finest", b.idc.front().idc);
+            field("idc_coarsest", b.idc.back().idc);
         }
-        jsonField(os, first, "decorrelation_lag",
-                  static_cast<std::uint64_t>(b.decorrelation_lag));
+        w.key("decorrelation_lag").num(b.decorrelation_lag);
     }
     if (c.ms_rw) {
         const RwDynamics &d = *c.ms_rw;
-        jsonField(os, first, "mean_run_length", d.mean_run_length);
-        jsonField(os, first, "write_dominated_fraction",
-                  d.write_dominated_fraction);
-        jsonField(os, first, "longest_write_run",
-                  static_cast<std::uint64_t>(d.longest_write_run));
-        jsonField(os, first, "write_bursts",
-                  static_cast<std::uint64_t>(d.write_bursts));
+        field("mean_run_length", d.mean_run_length);
+        field("write_dominated_fraction", d.write_dominated_fraction);
+        w.key("longest_write_run").num(d.longest_write_run);
+        w.key("write_bursts").num(d.write_bursts);
     }
-    os << '}';
-    return os.str();
+    w.endObject();
+    return out;
 }
 
 } // namespace core

@@ -28,7 +28,7 @@ struct PassMetrics
         "for the mean fusion width)");
     obs::Gauge &kernel_isa = obs::gauge("core.kernel.isa",
         "isa", "core",
-        "active SIMD kernel table (0 scalar, 1 sse2, 2 avx2); "
+        "active SIMD kernel table (0 scalar, 2 avx2); "
         "set at the start of every pass");
     obs::Counter &kernel_slow = obs::counter("core.kernel.slow",
         "elements", "core",

@@ -3,9 +3,7 @@
 #include <arpa/inet.h>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sstream>
@@ -15,6 +13,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "common/json.hh"
 #include "common/strutil.hh"
 #include "daemon/checkpoint.hh"
 #include "net/io.hh"
@@ -125,17 +124,6 @@ tracedShed(const std::string &trace_id)
         return;
     obs::emitInstant(
         obs::internTimelineName("trace/" + trace_id + "/server.shed"));
-}
-
-Status
-setNonBlocking(int fd)
-{
-    const int flags = fcntl(fd, F_GETFL, 0);
-    if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-        return Status::ioError(std::string("fcntl O_NONBLOCK: ") +
-                               std::strerror(errno));
-    }
-    return Status();
 }
 
 } // namespace
@@ -937,14 +925,18 @@ Server::routeHttp(const net::HttpRequest &req, bool &keep_alive)
     if (req.target == "/healthz") {
         // JSON body, same 200 semantics: probes that only grep for
         // "ok" keep working via the status field.
-        std::ostringstream os;
-        os << "{\"status\":\"ok\",\"version\":\"" << kDaemonVersion
-           << "\",\"uptime_s\":" << (nowNs() - started_ns_) / 1000000000ull
-           << ",\"qos\":" << (rk_ != nullptr ? "true" : "false")
-           << ",\"active_sessions\":"
-           << daemonMetrics().active.value() << "}\n";
+        std::string body;
+        JsonWriter(body)
+            .beginObject()
+            .key("status").str("ok")
+            .key("version").str(kDaemonVersion)
+            .key("uptime_s").num((nowNs() - started_ns_) / 1000000000ull)
+            .key("qos").boolean(rk_ != nullptr)
+            .key("active_sessions").num(daemonMetrics().active.value())
+            .endObject();
+        body += '\n';
         return net::renderHttpResponse(200, "OK", "application/json",
-                                       os.str(), keep_alive);
+                                       body, keep_alive);
     }
     if (req.target == "/metrics") {
         return net::renderHttpResponse(
@@ -965,31 +957,15 @@ Server::routeHttp(const net::HttpRequest &req, bool &keep_alive)
                                        statsJson(), keep_alive);
     }
     if (req.target == "/v1/sessions") {
-        std::ostringstream os;
-        os << "[";
-        bool first = true;
-        for (const auto &kv : sessions_) {
-            if (!first)
-                os << ",";
-            first = false;
-            os << "{\"session\":\"" << kv.first << "\",\"tenant\":\""
-               << kv.second->tenant() << "\",\"class\":\""
-               << qos::workClassName(kv.second->klass())
-               << "\",\"state\":\""
-               << sessionStateName(kv.second->state()) << "\"";
-            if (!kv.second->traceId().empty())
-                os << ",\"trace\":\"" << kv.second->traceId()
-                   << "\"";
-            char rate[32];
-            std::snprintf(rate, sizeof(rate), "%.1f",
-                          kv.second->recordsPerS());
-            os << ",\"started_at_ms\":" << kv.second->startedAtMs()
-               << ",\"duration_ms\":" << kv.second->durationMs()
-               << ",\"records_per_s\":" << rate << "}";
-        }
-        os << "]\n";
+        std::string body;
+        JsonWriter w(body);
+        w.beginArray();
+        for (const auto &kv : sessions_)
+            kv.second->writeListingEntry(w);
+        w.endArray();
+        body += '\n';
         return net::renderHttpResponse(200, "OK", "application/json",
-                                       os.str(), keep_alive);
+                                       body, keep_alive);
     }
     const std::string prefix = "/v1/sessions/";
     const std::string suffix = "/report";
@@ -1019,46 +995,41 @@ Server::statsJson() const
     // Everything here is either loop-thread state (conns_,
     // sessions_) or internally synchronized (metrics, ratekeeper,
     // pool), so the snapshot is one pass, no quiesce.
-    std::ostringstream os;
-    char buf[64];
-    os << "{\"uptime_s\":" << (nowNs() - started_ns_) / 1000000000ull
-       << ",\"started_at_ms\":" << started_wall_ms_
-       << ",\"connections\":" << conns_.size()
-       << ",\"active_sessions\":" << daemonMetrics().active.value()
-       << ",\"draining\":" << (draining_ ? "true" : "false");
-    os << ",\"pool\":{\"threads\":"
-       << (pool_ != nullptr ? pool_->threadCount() : 0)
-       << ",\"queue_depth\":"
-       << (pool_ != nullptr ? pool_->queueDepth() : 0) << "}";
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject()
+        .key("uptime_s").num((nowNs() - started_ns_) / 1000000000ull)
+        .key("started_at_ms").num(started_wall_ms_)
+        .key("connections").num(conns_.size())
+        .key("active_sessions").num(daemonMetrics().active.value())
+        .key("draining").boolean(draining_);
+    w.key("pool").beginObject()
+        .key("threads").num(pool_ != nullptr ? pool_->threadCount() : 0)
+        .key("queue_depth").num(pool_ != nullptr ? pool_->queueDepth() : 0)
+        .endObject();
     const stats::LogHistogram folds =
         daemonMetrics().fold_seconds.merged();
-    std::snprintf(buf, sizeof(buf), "%.1f",
-                  folds.total() > 0 ? folds.quantile(0.95) * 1e6
-                                    : 0.0);
-    os << ",\"fold_p95_us\":" << buf;
-    os << ",\"stages\":{";
+    w.key("fold_p95_us")
+        .fixed(folds.total() > 0 ? folds.quantile(0.95) * 1e6 : 0.0, 1);
+    w.key("stages").beginObject();
     static const SessionStage kStages[] = {
         SessionStage::kRead, SessionStage::kDecode,
         SessionStage::kAdmit, SessionStage::kFold,
         SessionStage::kMerge};
-    bool first = true;
     for (SessionStage st : kStages) {
         const stats::LogHistogram h =
             sessionStageHistogram(st).merged();
-        if (!first)
-            os << ',';
-        first = false;
-        os << '"' << sessionStageName(st) << "\":{\"count\":"
-           << h.total();
-        std::snprintf(buf, sizeof(buf),
-                      ",\"p50_us\":%.1f,\"p95_us\":%.1f,"
-                      "\"p99_us\":%.1f}",
-                      h.total() > 0 ? h.quantile(0.50) * 1e6 : 0.0,
-                      h.total() > 0 ? h.quantile(0.95) * 1e6 : 0.0,
-                      h.total() > 0 ? h.quantile(0.99) * 1e6 : 0.0);
-        os << buf;
+        const auto us = [&h](double q) {
+            return h.total() > 0 ? h.quantile(q) * 1e6 : 0.0;
+        };
+        w.key(sessionStageName(st)).beginObject()
+            .key("count").num(static_cast<std::uint64_t>(h.total()))
+            .key("p50_us").fixed(us(0.50), 1)
+            .key("p95_us").fixed(us(0.95), 1)
+            .key("p99_us").fixed(us(0.99), 1)
+            .endObject();
     }
-    os << '}';
+    w.endObject();
     // Per-tenant/class session aggregation over the live registry.
     std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
         tenants; // key "tenant/class" -> {sessions, records}
@@ -1069,44 +1040,41 @@ Server::statsJson() const
         agg.first += 1;
         agg.second += kv.second->records();
     }
-    os << ",\"tenants\":[";
-    first = true;
+    w.key("tenants").beginArray();
     for (const auto &kv : tenants) {
-        if (!first)
-            os << ',';
-        first = false;
         const std::size_t slash = kv.first.find('/');
-        os << "{\"tenant\":\"" << kv.first.substr(0, slash)
-           << "\",\"class\":\"" << kv.first.substr(slash + 1)
-           << "\",\"sessions\":" << kv.second.first
-           << ",\"records\":" << kv.second.second << '}';
+        w.beginObject()
+            .key("tenant").str(kv.first.substr(0, slash))
+            .key("class").str(kv.first.substr(slash + 1))
+            .key("sessions").num(kv.second.first)
+            .key("records").num(kv.second.second)
+            .endObject();
     }
-    os << ']';
-    os << ",\"qos\":{\"enabled\":"
-       << (rk_ != nullptr ? "true" : "false");
+    w.endArray();
+    w.key("qos").beginObject().key("enabled").boolean(rk_ != nullptr);
     if (rk_ != nullptr) {
-        os << ",\"pressure_milli\":" << rk_->pressureMilli()
-           << ",\"limits\":{\"interactive\":"
-           << rk_->limitPerSec(qos::WorkClass::kInteractive)
-           << ",\"bulk\":"
-           << rk_->limitPerSec(qos::WorkClass::kBulk)
-           << ",\"background\":"
-           << rk_->limitPerSec(qos::WorkClass::kBackground) << '}';
-        os << ",\"tags\":[";
-        first = true;
+        w.key("pressure_milli").num(rk_->pressureMilli())
+            .key("limits").beginObject()
+            .key("interactive")
+            .num(rk_->limitPerSec(qos::WorkClass::kInteractive))
+            .key("bulk").num(rk_->limitPerSec(qos::WorkClass::kBulk))
+            .key("background")
+            .num(rk_->limitPerSec(qos::WorkClass::kBackground))
+            .endObject();
+        w.key("tags").beginArray();
         for (const qos::Ratekeeper::TagStat &t : rk_->tagStats()) {
-            if (!first)
-                os << ',';
-            first = false;
-            os << "{\"tenant\":\"" << qos::tenantName(t.tenant)
-               << "\",\"class\":\"" << qos::workClassName(t.klass)
-               << "\",\"rate_per_s\":" << t.rate_per_sec
-               << ",\"balance_micro\":" << t.balance_micro << '}';
+            w.beginObject()
+                .key("tenant").str(qos::tenantName(t.tenant))
+                .key("class").str(qos::workClassName(t.klass))
+                .key("rate_per_s").num(t.rate_per_sec)
+                .key("balance_micro").num(t.balance_micro)
+                .endObject();
         }
-        os << ']';
+        w.endArray();
     }
-    os << "}}\n";
-    return os.str();
+    w.endObject().endObject();
+    out += '\n';
+    return out;
 }
 
 void

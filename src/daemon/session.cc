@@ -1,8 +1,6 @@
 #include "daemon/session.hh"
 
 #include <chrono>
-#include <cstdio>
-#include <sstream>
 #include <utility>
 
 #include "obs/timeline.hh"
@@ -14,43 +12,6 @@ namespace daemon
 
 namespace
 {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::uint64_t
 steadyNowNs()
@@ -210,20 +171,59 @@ std::uint64_t
 Session::durationMs() const
 {
     std::lock_guard<std::mutex> lock(mu_);
+    return durationMsLocked();
+}
+
+std::uint64_t
+Session::recordsLocked() const
+{
+    // A restored done session has no accumulators left; its count
+    // survives with the rendered result.
+    return live_ != nullptr ? live_->requests() : final_records_;
+}
+
+std::uint64_t
+Session::durationMsLocked() const
+{
     if (final_duration_ms_ != 0 || state_ != SessionState::kStreaming)
         return final_duration_ms_;
     return (steadyNowNs() - started_ns_) / 1000000;
 }
 
 double
-Session::recordsPerS() const
+Session::recordsPerSLocked() const
 {
-    const std::uint64_t recs = records();
-    const std::uint64_t ms = durationMs();
+    const std::uint64_t recs = recordsLocked();
+    const std::uint64_t ms = durationMsLocked();
     if (recs == 0 || ms == 0)
         return 0.0;
     return static_cast<double>(recs) * 1000.0 /
            static_cast<double>(ms);
+}
+
+void
+Session::writeSummaryLocked(JsonWriter &w, bool with_error) const
+{
+    w.key("session").str(id_)
+        .key("tenant").str(tenant_)
+        .key("class").str(qos::workClassName(tag_.klass))
+        .key("state").str(sessionStateName(state_));
+    if (!trace_id_.empty())
+        w.key("trace").str(trace_id_);
+    if (with_error && !error_.empty())
+        w.key("error").str(error_);
+    w.key("started_at_ms").num(started_at_ms_)
+        .key("duration_ms").num(durationMsLocked())
+        .key("records_per_s").fixed(recordsPerSLocked(), 1);
+}
+
+void
+Session::writeListingEntry(JsonWriter &w) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    w.beginObject();
+    writeSummaryLocked(w, false);
+    w.endObject();
 }
 
 Status
@@ -327,74 +327,40 @@ std::string
 Session::reportJson() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::ostringstream os;
-    os << "{\"session\":\"" << jsonEscape(id_) << "\",\"tenant\":\""
-       << jsonEscape(tenant_) << "\",\"class\":\""
-       << qos::workClassName(tag_.klass) << "\",\"state\":\""
-       << sessionStateName(state_) << "\"";
-    if (!trace_id_.empty())
-        os << ",\"trace\":\"" << jsonEscape(trace_id_) << "\"";
-    if (!error_.empty())
-        os << ",\"error\":\"" << jsonEscape(error_) << "\"";
-    std::uint64_t recs = 0;
-    if (live_ != nullptr)
-        recs = live_->requests();
-    else if (!final_char_json_.empty())
-        recs = final_records_;
-    const std::uint64_t dur_ms =
-        (final_duration_ms_ != 0 ||
-         state_ != SessionState::kStreaming)
-        ? final_duration_ms_
-        : (steadyNowNs() - started_ns_) / 1000000;
-    os << ",\"started_at_ms\":" << started_at_ms_
-       << ",\"duration_ms\":" << dur_ms << ",\"records_per_s\":";
-    char rate[32];
-    std::snprintf(rate, sizeof(rate), "%.1f",
-                  (recs == 0 || dur_ms == 0)
-                      ? 0.0
-                      : static_cast<double>(recs) * 1000.0 /
-                            static_cast<double>(dur_ms));
-    os << rate;
-    os << ",\"stages\":{";
-    bool first_stage = true;
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject();
+    writeSummaryLocked(w, true);
+    w.key("stages").beginObject();
     for (std::size_t i = 0; i < kSessionStageCount; ++i) {
         const StageStats &st = stages_[i];
         if (st.count == 0)
             continue;
-        if (!first_stage)
-            os << ',';
-        first_stage = false;
-        char buf[160];
-        std::snprintf(
-            buf, sizeof(buf),
-            "\"%s\":{\"count\":%llu,\"mean_us\":%.3f,"
-            "\"max_us\":%.3f,\"p50_us\":%.3f,\"p95_us\":%.3f,"
-            "\"p99_us\":%.3f}",
-            sessionStageName(static_cast<SessionStage>(i)),
-            static_cast<unsigned long long>(st.count),
-            static_cast<double>(st.total_ns) /
-                static_cast<double>(st.count) / 1000.0,
-            static_cast<double>(st.max_ns) / 1000.0,
-            st.quantileNs(0.50) / 1000.0,
-            st.quantileNs(0.95) / 1000.0,
-            st.quantileNs(0.99) / 1000.0);
-        os << buf;
+        w.key(sessionStageName(static_cast<SessionStage>(i)))
+            .beginObject()
+            .key("count").num(st.count)
+            .key("mean_us").fixed(static_cast<double>(st.total_ns) /
+                                  static_cast<double>(st.count) /
+                                  1000.0, 3)
+            .key("max_us").fixed(static_cast<double>(st.max_ns) /
+                                 1000.0, 3)
+            .key("p50_us").fixed(st.quantileNs(0.50) / 1000.0, 3)
+            .key("p95_us").fixed(st.quantileNs(0.95) / 1000.0, 3)
+            .key("p99_us").fixed(st.quantileNs(0.99) / 1000.0, 3)
+            .endObject();
     }
-    os << '}';
+    w.endObject().key("records").num(recordsLocked());
     if (live_ != nullptr) {
-        os << ",\"records\":" << live_->requests()
-           << ",\"characterization\":"
-           << core::renderCharacterizationJson(live_->snapshot());
+        w.key("characterization")
+            .raw(core::renderCharacterizationJson(live_->snapshot()));
     } else if (!final_char_json_.empty()) {
         // Restored after a restart: the live accumulators are gone,
         // but the fold's rendered result survives in the checkpoint.
-        os << ",\"records\":" << final_records_
-           << ",\"characterization\":" << final_char_json_;
-    } else {
-        os << ",\"records\":0";
+        w.key("characterization").raw(final_char_json_);
     }
-    os << "}\n";
-    return os.str();
+    w.endObject();
+    out += '\n';
+    return out;
 }
 
 SessionState
@@ -408,7 +374,7 @@ std::uint64_t
 Session::records() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return live_ == nullptr ? 0 : live_->requests();
+    return recordsLocked();
 }
 
 bool

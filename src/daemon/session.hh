@@ -25,6 +25,7 @@
 #include <mutex>
 #include <string>
 
+#include "common/json.hh"
 #include "common/status.hh"
 #include "core/live.hh"
 #include "net/buffer.hh"
@@ -149,9 +150,6 @@ class Session
      */
     std::uint64_t durationMs() const;
 
-    /** Any thread: records/s over durationMs (0 while empty). */
-    double recordsPerS() const;
-
     /** Workload class the session negotiated. */
     qos::WorkClass klass() const { return tag_.klass; }
 
@@ -196,6 +194,12 @@ class Session
      */
     std::string reportJson() const;
 
+    /**
+     * Any thread: this session's `GET /v1/sessions` entry — the
+     * summary fields reportJson() opens with, minus the error.
+     */
+    void writeListingEntry(JsonWriter &w) const;
+
     /** Any thread: current lifecycle state. */
     SessionState state() const;
 
@@ -237,6 +241,15 @@ class Session
 
     /** (Re)intern the per-trace timeline names from trace_id_. */
     void internTraceNames();
+
+    // The one definition of the summary figures; mu_ held.
+    std::uint64_t recordsLocked() const;
+    std::uint64_t durationMsLocked() const;
+    /** Records/s over durationMsLocked() (0 while empty). */
+    double recordsPerSLocked() const;
+
+    /** mu_ held: the identity and timing fields of listing + report. */
+    void writeSummaryLocked(JsonWriter &w, bool with_error) const;
 
     const std::string id_;
     const std::string tenant_;

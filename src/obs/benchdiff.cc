@@ -1,12 +1,12 @@
 #include "obs/benchdiff.hh"
 
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+
+#include "common/json.hh"
 
 namespace dlw
 {
@@ -15,249 +15,6 @@ namespace obs
 
 namespace
 {
-
-/**
- * Recursive-descent parser over the JSON subset our exporters emit.
- * Depth-limited so corrupt input cannot blow the stack.
- */
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : text_(text) {}
-
-    StatusOr<JsonValue>
-    parse()
-    {
-        JsonValue v;
-        Status s = parseValue(v, 0);
-        if (!s.ok())
-            return s;
-        skipWs();
-        if (pos_ != text_.size())
-            return fail("trailing characters after document");
-        return v;
-    }
-
-  private:
-    static constexpr std::size_t kMaxDepth = 64;
-
-    Status
-    fail(const std::string &what) const
-    {
-        return Status::invalidArgument(
-            "json: " + what + " at offset " + std::to_string(pos_));
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    Status
-    parseString(std::string &out)
-    {
-        if (!consume('"'))
-            return fail("expected '\"'");
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return Status();
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    break;
-                const char e = text_[pos_++];
-                switch (e) {
-                  case '"':
-                    out += '"';
-                    break;
-                  case '\\':
-                    out += '\\';
-                    break;
-                  case '/':
-                    out += '/';
-                    break;
-                  case 'n':
-                    out += '\n';
-                    break;
-                  case 't':
-                    out += '\t';
-                    break;
-                  case 'r':
-                    out += '\r';
-                    break;
-                  case 'b':
-                    out += '\b';
-                    break;
-                  case 'f':
-                    out += '\f';
-                    break;
-                  case 'u': {
-                    if (pos_ + 4 > text_.size())
-                        return fail("truncated \\u escape");
-                    // Our exporters only escape control bytes; fold
-                    // anything else to '?' rather than decode UTF-16.
-                    const unsigned long cp = std::strtoul(
-                        text_.substr(pos_, 4).c_str(), nullptr, 16);
-                    out += cp < 0x80 ? static_cast<char>(cp) : '?';
-                    pos_ += 4;
-                    break;
-                  }
-                  default:
-                    return fail("unknown escape");
-                }
-            } else {
-                out += c;
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    Status
-    parseValue(JsonValue &out, std::size_t depth)
-    {
-        if (depth > kMaxDepth)
-            return fail("nesting too deep");
-        skipWs();
-        if (pos_ >= text_.size())
-            return fail("unexpected end of input");
-        const char c = text_[pos_];
-        if (c == '{')
-            return parseObject(out, depth);
-        if (c == '[')
-            return parseArray(out, depth);
-        if (c == '"') {
-            out.type = JsonValue::Type::kString;
-            return parseString(out.str);
-        }
-        if (c == 't' || c == 'f')
-            return parseKeyword(out);
-        if (c == 'n')
-            return parseKeyword(out);
-        return parseNumber(out);
-    }
-
-    Status
-    parseKeyword(JsonValue &out)
-    {
-        static const struct
-        {
-            const char *word;
-            JsonValue::Type type;
-            bool value;
-        } kWords[] = {
-            {"true", JsonValue::Type::kBool, true},
-            {"false", JsonValue::Type::kBool, false},
-            {"null", JsonValue::Type::kNull, false},
-        };
-        for (const auto &w : kWords) {
-            const std::size_t n = std::strlen(w.word);
-            if (text_.compare(pos_, n, w.word) == 0) {
-                out.type = w.type;
-                out.boolean = w.value;
-                pos_ += n;
-                return Status();
-            }
-        }
-        return fail("unknown keyword");
-    }
-
-    Status
-    parseNumber(JsonValue &out)
-    {
-        const char *start = text_.c_str() + pos_;
-        char *end = nullptr;
-        const double v = std::strtod(start, &end);
-        if (end == start)
-            return fail("expected a value");
-        if (!std::isfinite(v))
-            return fail("non-finite number");
-        out.type = JsonValue::Type::kNumber;
-        out.number = v;
-        pos_ += static_cast<std::size_t>(end - start);
-        return Status();
-    }
-
-    Status
-    parseObject(JsonValue &out, std::size_t depth)
-    {
-        consume('{');
-        out.type = JsonValue::Type::kObject;
-        skipWs();
-        if (consume('}'))
-            return Status();
-        for (;;) {
-            skipWs();
-            std::string key;
-            Status s = parseString(key);
-            if (!s.ok())
-                return s;
-            skipWs();
-            if (!consume(':'))
-                return fail("expected ':'");
-            JsonValue child;
-            s = parseValue(child, depth + 1);
-            if (!s.ok())
-                return s;
-            out.members.emplace_back(std::move(key),
-                                     std::move(child));
-            skipWs();
-            if (consume(','))
-                continue;
-            if (consume('}'))
-                return Status();
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    Status
-    parseArray(JsonValue &out, std::size_t depth)
-    {
-        consume('[');
-        out.type = JsonValue::Type::kArray;
-        skipWs();
-        if (consume(']'))
-            return Status();
-        for (;;) {
-            JsonValue child;
-            Status s = parseValue(child, depth + 1);
-            if (!s.ok())
-                return s;
-            out.items.push_back(std::move(child));
-            skipWs();
-            if (consume(','))
-                continue;
-            if (consume(']'))
-                return Status();
-            return fail("expected ',' or ']'");
-        }
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
-
-double
-numberOr(const JsonValue *v, double fallback)
-{
-    return (v != nullptr && v->type == JsonValue::Type::kNumber)
-        ? v->number
-        : fallback;
-}
 
 /** Percent change of b relative to a (100 when a==0 and b!=0). */
 double
@@ -271,22 +28,6 @@ pctChange(double a, double b)
 }
 
 } // anonymous namespace
-
-const JsonValue *
-JsonValue::find(const std::string &key) const
-{
-    for (const auto &[k, v] : members) {
-        if (k == key)
-            return &v;
-    }
-    return nullptr;
-}
-
-StatusOr<JsonValue>
-parseJson(const std::string &text)
-{
-    return JsonParser(text).parse();
-}
 
 StatusOr<BenchReport>
 parseBenchReport(const std::string &json_text)
@@ -305,7 +46,7 @@ parseBenchReport(const std::string &json_text)
         return Status::invalidArgument(
             "bench report: missing \"bench\" name");
     report.bench = bench->str;
-    report.wall_seconds = numberOr(root.find("wall_seconds"), 0.0);
+    report.wall_seconds = jsonNumberAt(&root, "wall_seconds");
 
     const JsonValue *snapshot = root.find("snapshot");
     const JsonValue *metrics =
@@ -325,12 +66,12 @@ parseBenchReport(const std::string &json_text)
         if (type_name == "histogram") {
             sample.type = MetricType::kHistogram;
             sample.count = static_cast<std::uint64_t>(
-                numberOr(m.find("count"), 0.0));
-            sample.p95 = numberOr(m.find("p95"), 0.0);
+                jsonNumberAt(&m, "count"));
+            sample.p95 = jsonNumberAt(&m, "p95");
         } else {
             sample.type = type_name == "gauge" ? MetricType::kGauge
                                                : MetricType::kCounter;
-            sample.value = numberOr(m.find("value"), 0.0);
+            sample.value = jsonNumberAt(&m, "value");
         }
         report.metrics.emplace(name, sample);
     }

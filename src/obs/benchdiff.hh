@@ -19,10 +19,7 @@
  *    deterministic per bench, so drift means the workload changed,
  *    which invalidates the wall-time comparison
  *
- * The JSON parser underneath is a minimal zero-dependency recursive
- * descent over the subset BENCH files use (objects, arrays, strings,
- * numbers, bools, null) — exposed because the timeline tests reuse
- * it to validate exported traces.
+ * BENCH files are read with the shared JSON reader (common/json.hh).
  */
 
 #ifndef DLW_OBS_BENCHDIFF_HH
@@ -30,7 +27,6 @@
 
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.hh"
@@ -40,36 +36,6 @@ namespace dlw
 {
 namespace obs
 {
-
-/**
- * One parsed JSON value (tree).
- */
-struct JsonValue
-{
-    enum class Type
-    {
-        kNull,
-        kBool,
-        kNumber,
-        kString,
-        kObject,
-        kArray,
-    };
-
-    Type type = Type::kNull;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    /** Object members in source order. */
-    std::vector<std::pair<std::string, JsonValue>> members;
-    std::vector<JsonValue> items;
-
-    /** Member lookup (objects only); nullptr when absent. */
-    const JsonValue *find(const std::string &key) const;
-};
-
-/** Parse a complete JSON document (trailing junk is an error). */
-StatusOr<JsonValue> parseJson(const std::string &text);
 
 /** One metric's comparable numbers inside a bench report. */
 struct BenchSample

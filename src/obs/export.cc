@@ -3,9 +3,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace dlw
@@ -16,53 +16,11 @@ namespace obs
 namespace
 {
 
-/** Finite-or-zero: exporters must never emit "inf" or "nan". */
-double
-finite(double v)
-{
-    return std::isfinite(v) ? v : 0.0;
-}
-
-/** Compact numeric form shared by every exporter (round-trippable). */
+/** Exporters never emit inf or nan: non-finite values become 0. */
 std::string
 num(double v)
 {
-    std::ostringstream os;
-    os << std::setprecision(12) << finite(v);
-    return os.str();
-}
-
-/** JSON string escaping (quotes, backslashes, control bytes). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
+    return formatNumber(std::isfinite(v) ? v : 0.0);
 }
 
 /** Prometheus metric name: dots to underscores under a dlw_ prefix. */
@@ -95,20 +53,18 @@ renderSpanText(std::ostringstream &os, const SpanStats &node,
 }
 
 void
-renderSpanJson(std::ostringstream &os, const SpanStats &node)
+renderSpanJson(JsonWriter &w, const SpanStats &node)
 {
-    os << "{\"name\":\"" << jsonEscape(node.name)
-       << "\",\"count\":" << node.count << ",\"total_s\":"
-       << num(node.total_s) << ",\"min_s\":" << num(node.min_s)
-       << ",\"max_s\":" << num(node.max_s) << ",\"children\":[";
-    bool first = true;
-    for (const SpanStats &child : node.children) {
-        if (!first)
-            os << ',';
-        first = false;
-        renderSpanJson(os, child);
-    }
-    os << "]}";
+    w.beginObject()
+        .key("name").str(node.name)
+        .key("count").num(node.count)
+        .key("total_s").raw(num(node.total_s))
+        .key("min_s").raw(num(node.min_s))
+        .key("max_s").raw(num(node.max_s))
+        .key("children").beginArray();
+    for (const SpanStats &child : node.children)
+        renderSpanJson(w, child);
+    w.endArray().endObject();
 }
 
 } // anonymous namespace
@@ -175,39 +131,38 @@ renderText(const Snapshot &snap)
 std::string
 renderJson(const Snapshot &snap)
 {
-    std::ostringstream os;
-    os << "{\"metrics\":{";
-    bool first = true;
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject().key("metrics").beginObject();
     for (const MetricSnapshot &m : snap.metrics) {
-        if (!first)
-            os << ',';
-        first = false;
-        os << '"' << jsonEscape(m.info.name) << "\":{\"type\":\""
-           << metricTypeName(m.info.type) << "\",\"unit\":\""
-           << jsonEscape(m.info.unit) << "\",\"subsystem\":\""
-           << jsonEscape(m.info.subsystem) << '"';
+        w.key(m.info.name).beginObject()
+            .key("type").str(metricTypeName(m.info.type))
+            .key("unit").str(m.info.unit)
+            .key("subsystem").str(m.info.subsystem);
         switch (m.info.type) {
           case MetricType::kCounter:
-            os << ",\"value\":" << m.count;
+            w.key("value").num(m.count);
             break;
           case MetricType::kGauge:
-            os << ",\"value\":" << m.level;
+            w.key("value").num(m.level);
             break;
           case MetricType::kHistogram:
-            os << ",\"count\":" << m.count << ",\"sum\":"
-               << num(m.sum) << ",\"mean\":" << num(m.mean)
-               << ",\"min\":" << num(m.min) << ",\"max\":"
-               << num(m.max) << ",\"p50\":" << num(m.p50)
-               << ",\"p95\":" << num(m.p95) << ",\"p99\":"
-               << num(m.p99);
+            w.key("count").num(m.count)
+                .key("sum").raw(num(m.sum))
+                .key("mean").raw(num(m.mean))
+                .key("min").raw(num(m.min))
+                .key("max").raw(num(m.max))
+                .key("p50").raw(num(m.p50))
+                .key("p95").raw(num(m.p95))
+                .key("p99").raw(num(m.p99));
             break;
         }
-        os << '}';
+        w.endObject();
     }
-    os << "},\"spans\":";
-    renderSpanJson(os, snap.spans);
-    os << '}';
-    return os.str();
+    w.endObject().key("spans");
+    renderSpanJson(w, snap.spans);
+    w.endObject();
+    return out;
 }
 
 std::string
@@ -284,9 +239,14 @@ BenchReportGuard::~BenchReportGuard()
         dlw_warn("cannot write bench report '", path, "'");
         return;
     }
-    os << "{\"bench\":\"" << jsonEscape(name_)
-       << "\",\"wall_seconds\":" << num(wall.count())
-       << ",\"snapshot\":" << renderJson(snap) << "}\n";
+    std::string out;
+    JsonWriter(out)
+        .beginObject()
+        .key("bench").str(name_)
+        .key("wall_seconds").raw(num(wall.count()))
+        .key("snapshot").raw(renderJson(snap))
+        .endObject();
+    os << out << '\n';
 }
 
 } // namespace obs

@@ -3,17 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "obs/benchdiff.hh"
+#include "common/json.hh"
 
 namespace dlw
 {
@@ -33,50 +33,6 @@ tsMicros(std::uint64_t ts_ns)
     return buf;
 }
 
-/** Compact finite numeric form (counter values). */
-std::string
-num(double v)
-{
-    if (!(v == v) || v > 1e308 || v < -1e308)
-        v = 0.0;
-    std::ostringstream os;
-    os.precision(12);
-    os << v;
-    return os.str();
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /** One output row: a paired X event or a raw B/E/i/C event. */
 struct OutEvent
 {
@@ -88,19 +44,30 @@ struct OutEvent
     double value = 0.0; ///< C only
 };
 
-void
-renderOne(std::ostringstream &os, const OutEvent &e, int pid)
+/** One event as a JSON object on a line of its own. */
+std::string
+eventLine(const OutEvent &e, int pid)
 {
-    os << "{\"name\":\"" << jsonEscape(e.name) << "\",\"ph\":\""
-       << e.phase << "\",\"ts\":" << tsMicros(e.ts_ns);
+    std::string out = "\n";
+    JsonWriter w(out);
+    w.beginObject()
+        .key("name").str(e.name)
+        .key("ph").str(std::string_view(&e.phase, 1))
+        .key("ts").raw(tsMicros(e.ts_ns));
     if (e.phase == 'X')
-        os << ",\"dur\":" << tsMicros(e.dur_ns);
-    os << ",\"pid\":" << pid << ",\"tid\":" << e.tid;
+        w.key("dur").raw(tsMicros(e.dur_ns));
+    w.key("pid").num(pid).key("tid").num(e.tid);
     if (e.phase == 'i')
-        os << ",\"s\":\"t\"";
-    if (e.phase == 'C')
-        os << ",\"args\":{\"value\":" << num(e.value) << '}';
-    os << '}';
+        w.key("s").str("t");
+    if (e.phase == 'C') {
+        // Counter values are finite in any well-formed trace; a
+        // non-finite one renders as 0 rather than as invalid JSON.
+        w.key("args").beginObject()
+            .key("value").num(std::isfinite(e.value) ? e.value : 0.0)
+            .endObject();
+    }
+    w.endObject();
+    return out;
 }
 
 } // anonymous namespace
@@ -168,33 +135,38 @@ renderChromeTrace(const TimelineSnapshot &snap, int pid,
         }
     }
 
-    std::ostringstream os;
-    os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    bool first = true;
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"dlw\"}}";
-    first = false;
+    // One event per line keeps large traces diffable.
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject()
+        .key("displayTimeUnit").str("ms")
+        .key("traceEvents").beginArray();
+    w.beginObject()
+        .key("name").str("process_name")
+        .key("ph").str("M")
+        .key("pid").num(pid)
+        .key("tid").num(0)
+        .key("args").beginObject().key("name").str("dlw").endObject()
+        .endObject();
     for (std::uint32_t tid : tids_seen) {
-        os << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":"
-           << pid << ",\"tid\":" << tid
-           << ",\"args\":{\"name\":\"thread-" << tid << "\"}}";
+        w.beginObject()
+            .key("name").str("thread_name")
+            .key("ph").str("M")
+            .key("pid").num(pid)
+            .key("tid").num(tid)
+            .key("args").beginObject()
+            .key("name").str("thread-" + std::to_string(tid))
+            .endObject()
+            .endObject();
     }
-    for (const OutEvent &e : outs) {
-        if (!first)
-            os << ',';
-        first = false;
-        os << "\n";
-        renderOne(os, e, pid);
-    }
-    if (!extra_events_json.empty()) {
-        if (!first)
-            os << ',';
-        first = false;
-        os << "\n" << extra_events_json;
-    }
-    os << "\n]}";
-    os << '\n';
-    return os.str();
+    for (const OutEvent &e : outs)
+        w.raw(eventLine(e, pid));
+    if (!extra_events_json.empty())
+        w.raw('\n' + extra_events_json);
+    out += '\n';
+    w.endArray().endObject();
+    out += '\n';
+    return out;
 }
 
 std::string
@@ -208,46 +180,35 @@ namespace
 
 /** Re-render one parsed JSON value compactly (reprojection path). */
 void
-renderJson(std::ostringstream &os, const JsonValue &v)
+writeValue(JsonWriter &w, const JsonValue &v)
 {
     switch (v.type) {
       case JsonValue::Type::kNull:
-        os << "null";
+        w.null();
         break;
       case JsonValue::Type::kBool:
-        os << (v.boolean ? "true" : "false");
+        w.boolean(v.boolean);
         break;
       case JsonValue::Type::kNumber:
-        os << num(v.number);
+        w.num(v.number); // the reader admits finite numbers only
         break;
       case JsonValue::Type::kString:
-        os << '"' << jsonEscape(v.str) << '"';
+        w.str(v.str);
         break;
-      case JsonValue::Type::kObject: {
-        os << '{';
-        bool first = true;
+      case JsonValue::Type::kObject:
+        w.beginObject();
         for (const auto &m : v.members) {
-            if (!first)
-                os << ',';
-            first = false;
-            os << '"' << jsonEscape(m.first) << "\":";
-            renderJson(os, m.second);
+            w.key(m.first);
+            writeValue(w, m.second);
         }
-        os << '}';
+        w.endObject();
         break;
-      }
-      case JsonValue::Type::kArray: {
-        os << '[';
-        bool first = true;
-        for (const JsonValue &item : v.items) {
-            if (!first)
-                os << ',';
-            first = false;
-            renderJson(os, item);
-        }
-        os << ']';
+      case JsonValue::Type::kArray:
+        w.beginArray();
+        for (const JsonValue &item : v.items)
+            writeValue(w, item);
+        w.endArray();
         break;
-      }
     }
 }
 
@@ -266,44 +227,36 @@ reprojectChromeTraceEvents(const std::string &chrome_json,
         return Status::invalidArgument(
             "not a Chrome trace document (no traceEvents array)");
     }
-    std::ostringstream os;
-    bool first = true;
+    std::string out;
     for (const JsonValue &e : events->items) {
         if (e.type != JsonValue::Type::kObject)
             continue;
-        if (!first)
-            os << ",\n";
-        first = false;
+        if (!out.empty())
+            out += ",\n";
         const JsonValue *name = e.find("name");
         const JsonValue *ph = e.find("ph");
         const bool is_meta = ph != nullptr &&
             ph->type == JsonValue::Type::kString && ph->str == "M";
-        os << '{';
-        bool fm = true;
+        JsonWriter w(out);
+        w.beginObject();
         for (const auto &m : e.members) {
-            if (!fm)
-                os << ',';
-            fm = false;
-            os << '"' << jsonEscape(m.first) << "\":";
+            w.key(m.first);
             if (m.first == "ts" &&
                 m.second.type == JsonValue::Type::kNumber) {
                 // The one field the clock offset applies to; dur is
                 // a duration and survives untouched.
-                char buf[48];
-                std::snprintf(buf, sizeof(buf), "%.3f",
-                              m.second.number + offset_us);
-                os << buf;
+                w.fixed(m.second.number + offset_us, 3);
             } else if (is_meta && m.first == "args" &&
                        name != nullptr &&
                        name->str == "process_name") {
-                os << "{\"name\":\"dlwd\"}";
+                w.beginObject().key("name").str("dlwd").endObject();
             } else {
-                renderJson(os, m.second);
+                writeValue(w, m.second);
             }
         }
-        os << '}';
+        w.endObject();
     }
-    return os.str();
+    return out;
 }
 
 Status

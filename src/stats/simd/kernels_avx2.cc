@@ -4,10 +4,17 @@
  *
  * Compiled with -mavx2 for this translation unit only (never -mfma,
  * so no contraction can perturb the scalar expression trees) and
- * dispatched only when the CPU reports AVX2.  See kernels_sse2.cc
- * for the shared bit-identity arguments; the only AVX2-specific
- * piece is the 4-lane variant of the exact int64 -> double split
- * conversion.
+ * dispatched only when the CPU reports AVX2.
+ *
+ * Every loop mirrors the scalar reference tree from kernels.hh with
+ * element-wise IEEE operations (sub/mul/div/min/max/truncate are all
+ * correctly rounded per lane), so the results are bit-identical to
+ * kScalarOps by construction.  Tick comparisons ride on the sign bit
+ * of a 64-bit subtraction (valid while ticks stay well inside the
+ * int64 range, which nanosecond timestamps do), and the int64 ->
+ * double conversion uses the exact split identity
+ * x == (hi(x) * 2^32 - 2^52) + (2^52 + lo(x)) with one final
+ * rounding — the same single rounding static_cast performs.
  */
 
 #include "stats/simd/kernels.hh"

@@ -41,17 +41,9 @@ tableFor(Isa isa)
     switch (isa) {
       case Isa::kScalar:
         return &detail::kScalarOps;
-      case Isa::kSse2:
-#if defined(__SSE2__)
-        return &detail::kSse2Ops;
-#else
-        return &detail::kScalarOps;
-#endif
       case Isa::kAvx2:
 #if defined(DLW_SIMD_HAVE_AVX2)
         return &detail::kAvx2Ops;
-#elif defined(__SSE2__)
-        return &detail::kSse2Ops;
 #else
         return &detail::kScalarOps;
 #endif
@@ -67,12 +59,6 @@ supported(Isa isa)
     switch (isa) {
       case Isa::kScalar:
         return true;
-      case Isa::kSse2:
-#if defined(__SSE2__)
-        return true;
-#else
-        return false;
-#endif
       case Isa::kAvx2:
 #if defined(DLW_SIMD_HAVE_AVX2)
         return __builtin_cpu_supports("avx2") != 0;
@@ -86,11 +72,7 @@ supported(Isa isa)
 Isa
 bestSupported()
 {
-    if (supported(Isa::kAvx2))
-        return Isa::kAvx2;
-    if (supported(Isa::kSse2))
-        return Isa::kSse2;
-    return Isa::kScalar;
+    return supported(Isa::kAvx2) ? Isa::kAvx2 : Isa::kScalar;
 }
 
 Isa
@@ -106,8 +88,6 @@ isaName(Isa isa)
     switch (isa) {
       case Isa::kScalar:
         return "scalar";
-      case Isa::kSse2:
-        return "sse2";
       case Isa::kAvx2:
         return "avx2";
     }
@@ -124,10 +104,6 @@ parseChoice(std::string_view s, Isa &out, bool &is_auto)
     }
     if (s == "scalar") {
         out = Isa::kScalar;
-        return true;
-    }
-    if (s == "sse2") {
-        out = Isa::kSse2;
         return true;
     }
     if (s == "avx2") {
@@ -161,7 +137,7 @@ configureFromEnv()
         bool is_auto = false;
         if (!parseChoice(env, parsed, is_auto)) {
             dlw_warn("DLW_SIMD: unknown value '", env,
-                     "' (want scalar|sse2|avx2|auto); using auto");
+                     "' (want scalar|avx2|auto); using auto");
         } else if (!is_auto) {
             choice = parsed;
         }

@@ -6,9 +6,9 @@
  * The hot accumulators — histogram binning, binned arrival counting,
  * the interarrival-gap moment fold, totals — all reduce to tight
  * loops over one dense column of the SoA trace::RequestBatch.  This
- * layer lifts those loops into per-ISA kernels (scalar reference,
- * SSE2, AVX2) selected once at startup by CPUID, overridable with
- * DLW_SIMD=scalar|sse2|avx2|auto.
+ * layer lifts those loops into per-ISA kernels (the scalar reference
+ * and AVX2) selected once at startup by CPUID, overridable with
+ * DLW_SIMD=scalar|avx2|auto.
  *
  * The contract that makes dispatch safe everywhere byte-identity is
  * promised (thread counts, batch sizes, daemon checkpoints): every
@@ -58,7 +58,7 @@ namespace simd
 enum class Isa : int
 {
     kScalar = 0, ///< portable reference path (ground truth)
-    kSse2 = 1,   ///< x86-64 baseline vectors (2 doubles / 2 ticks)
+    // 1 was the retired SSE2 table; core.kernel.isa keeps avx2 at 2.
     kAvx2 = 2,   ///< 256-bit vectors (4 doubles / 4 ticks)
 };
 
@@ -223,7 +223,7 @@ Isa bestSupported();
 /** The ISA the active kernel table was built for. */
 Isa activeIsa();
 
-/** "scalar" / "sse2" / "avx2". */
+/** "scalar" / "avx2". */
 const char *isaName(Isa isa);
 
 /**
@@ -241,7 +241,7 @@ bool parseChoice(std::string_view s, Isa &out, bool &is_auto);
 void force(Isa isa);
 
 /**
- * Apply the DLW_SIMD environment override (scalar|sse2|avx2|auto).
+ * Apply the DLW_SIMD environment override (scalar|avx2|auto).
  * Unset or "auto" selects bestSupported().  Called lazily by ops(),
  * so processes that never touch the env get auto dispatch.
  */

@@ -1,9 +1,8 @@
 /**
  * @file
- * Unit tests for the bench-regression gate: the minimal JSON parser,
- * BENCH report extraction, and the threshold semantics of
- * diffBenchReports (wall growth, p95 growth, volume drift, metrics
- * appearing or disappearing).
+ * Unit tests for the bench-regression gate: BENCH report extraction
+ * and the threshold semantics of diffBenchReports (wall growth, p95
+ * growth, volume drift, metrics appearing or disappearing).
  */
 
 #include <gtest/gtest.h>
@@ -19,44 +18,6 @@ namespace obs
 {
 namespace
 {
-
-// ---------------------------------------------------------------------------
-// JSON parser.
-
-TEST(Json, ParsesScalarsAndNesting)
-{
-    StatusOr<JsonValue> doc = parseJson(
-        "{\"a\":1.5,\"b\":\"x\\\"y\",\"c\":[true,false,null],"
-        "\"d\":{\"e\":-2e3}}");
-    ASSERT_TRUE(doc.ok());
-    const JsonValue &v = doc.value();
-    ASSERT_EQ(v.type, JsonValue::Type::kObject);
-    EXPECT_DOUBLE_EQ(v.find("a")->number, 1.5);
-    EXPECT_EQ(v.find("b")->str, "x\"y");
-    ASSERT_EQ(v.find("c")->items.size(), 3u);
-    EXPECT_TRUE(v.find("c")->items[0].boolean);
-    EXPECT_EQ(v.find("c")->items[2].type, JsonValue::Type::kNull);
-    EXPECT_DOUBLE_EQ(v.find("d")->find("e")->number, -2000.0);
-    EXPECT_EQ(v.find("missing"), nullptr);
-}
-
-TEST(Json, RejectsMalformedInput)
-{
-    EXPECT_FALSE(parseJson("").ok());
-    EXPECT_FALSE(parseJson("{").ok());
-    EXPECT_FALSE(parseJson("{\"a\":}").ok());
-    EXPECT_FALSE(parseJson("[1,2,]").ok());
-    EXPECT_FALSE(parseJson("{\"a\":1} trailing").ok());
-    EXPECT_FALSE(parseJson("nul").ok());
-}
-
-TEST(Json, RejectsRunawayNesting)
-{
-    std::string deep;
-    for (int i = 0; i < 200; ++i)
-        deep += '[';
-    EXPECT_FALSE(parseJson(deep).ok());
-}
 
 // ---------------------------------------------------------------------------
 // BENCH report extraction.

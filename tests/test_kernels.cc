@@ -47,7 +47,7 @@ std::vector<Isa>
 supportedIsas()
 {
     std::vector<Isa> out;
-    for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
+    for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
         if (supported(isa))
             out.push_back(isa);
     }
@@ -468,17 +468,20 @@ TEST(Dispatch, EnvOverrideSelectsScalar)
     configureFromEnv();
     EXPECT_EQ(activeIsa(), bestSupported());
 
-    // Unknown values warn and fall back to auto.
-    ASSERT_EQ(setenv("DLW_SIMD", "bogus", 1), 0);
-    configureFromEnv();
-    EXPECT_EQ(activeIsa(), bestSupported());
+    // Unknown values, the retired "sse2" among them, warn and fall
+    // back to auto.
+    for (const char *value : {"bogus", "sse2"}) {
+        ASSERT_EQ(setenv("DLW_SIMD", value, 1), 0);
+        configureFromEnv();
+        EXPECT_EQ(activeIsa(), bestSupported()) << value;
+    }
     ASSERT_EQ(unsetenv("DLW_SIMD"), 0);
 }
 
 TEST(Dispatch, ForceClampsUnsupported)
 {
     IsaGuard guard;
-    for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
+    for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
         force(isa);
         if (supported(isa))
             EXPECT_EQ(activeIsa(), isa);
@@ -486,7 +489,6 @@ TEST(Dispatch, ForceClampsUnsupported)
             EXPECT_EQ(activeIsa(), bestSupported());
     }
     EXPECT_EQ(isaName(Isa::kScalar), std::string("scalar"));
-    EXPECT_EQ(isaName(Isa::kSse2), std::string("sse2"));
     EXPECT_EQ(isaName(Isa::kAvx2), std::string("avx2"));
 }
 

@@ -21,7 +21,7 @@
 #include <unistd.h>
 
 #include "fleet/pipeline.hh"
-#include "obs/benchdiff.hh"
+#include "common/json.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "obs/timeline.hh"

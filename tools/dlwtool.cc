@@ -61,15 +61,11 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/resource.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/fault.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/options.hh"
 #include "common/retry.hh"
@@ -80,7 +76,7 @@
 #include "core/live.hh"
 #include "daemon/server.hh"
 #include "disk/drive.hh"
-#include "net/buffer.hh"
+#include "net/client.hh"
 #include "net/io.hh"
 #include "net/wire.hh"
 #include "fleet/pipeline.hh"
@@ -521,164 +517,6 @@ cmdServe(const dlw::Options &opts)
     return 0;
 }
 
-/** Blocking small-write helper for the stream client. */
-void
-sendAll(int fd, const char *data, std::size_t n)
-{
-    while (n != 0) {
-        const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            // The server vanishing mid-payload is the same failure
-            // the read side reports as a truncated response: map it
-            // to the same status so the exit code is consistent.
-            if (errno == EPIPE || errno == ECONNRESET)
-                throw StatusError(Status::truncated(
-                    "server closed the connection mid-stream"));
-            throw StatusError(Status::ioError(
-                std::string("write: ") + std::strerror(errno)));
-        }
-        data += w;
-        n -= static_cast<std::size_t>(w);
-    }
-}
-
-/** Blocking read of one '\n'-terminated line (stripped). */
-std::string
-recvLine(int fd)
-{
-    std::string line;
-    char c = 0;
-    for (;;) {
-        const ssize_t r = ::read(fd, &c, 1);
-        if (r < 0 && errno == EINTR)
-            continue;
-        if (r <= 0)
-            throw StatusError(Status::truncated(
-                "server closed the connection mid-line"));
-        if (c == '\n')
-            return line;
-        line += c;
-        if (line.size() > 1 << 16)
-            throw StatusError(
-                Status::corruptData("oversized response line"));
-    }
-}
-
-/**
- * Connect with a deadline: non-blocking connect + poll, then back to
- * blocking for the rest of the session.  timeout_ms == 0 blocks
- * indefinitely (plain connect semantics).
- *
- * @return The connected fd, or -1 with `why` describing the failure
- *         (always a retryable, connection-level condition).
- */
-int
-connectStream(const std::string &host, int port,
-              std::uint64_t timeout_ms, std::string &why)
-{
-    const int fd = ::socket(
-        AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (fd < 0)
-        throw StatusError(Status::ioError(
-            std::string("socket: ") + std::strerror(errno)));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-        ::close(fd);
-        throw StatusError(Status::invalidArgument(
-            "bad --host '" + host + "' (want a dotted IPv4 address)"));
-    }
-    const std::string where = host + ":" + std::to_string(port);
-    int rc = ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                       sizeof(addr));
-    if (rc < 0 && errno == EINPROGRESS) {
-        pollfd pfd{};
-        pfd.fd = fd;
-        pfd.events = POLLOUT;
-        const int timeout =
-            timeout_ms == 0 ? -1 : static_cast<int>(timeout_ms);
-        do {
-            rc = ::poll(&pfd, 1, timeout);
-        } while (rc < 0 && errno == EINTR);
-        if (rc == 0) {
-            ::close(fd);
-            why = "connect " + where + ": timed out after " +
-                  std::to_string(timeout_ms) + "ms";
-            return -1;
-        }
-        int err = 0;
-        socklen_t len = sizeof(err);
-        if (rc < 0 ||
-            ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0 ||
-            err != 0) {
-            ::close(fd);
-            why = "connect " + where + ": " +
-                  std::strerror(err != 0 ? err : errno);
-            return -1;
-        }
-    } else if (rc < 0) {
-        ::close(fd);
-        why = "connect " + where + ": " + std::strerror(errno);
-        return -1;
-    }
-    const int flags = ::fcntl(fd, F_GETFL);
-    if (flags >= 0)
-        ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-    return fd;
-}
-
-/**
- * Minimal HTTP GET against the daemon's results plane.  Returns the
- * response body on a 200, a Status otherwise.  Shares connectStream
- * so the deadline semantics match the stream client, and asks for
- * Connection: close so "read to EOF" delimits the body.
- */
-StatusOr<std::string>
-httpGetBody(const std::string &host, int port,
-            const std::string &path, std::uint64_t timeout_ms)
-{
-    std::string why;
-    const int fd = connectStream(host, port, timeout_ms, why);
-    if (fd < 0)
-        return Status::ioError(why);
-    std::string resp;
-    try {
-        const std::string req = "GET " + path + " HTTP/1.1\r\nHost: " +
-                                host + "\r\nConnection: close\r\n\r\n";
-        sendAll(fd, req.data(), req.size());
-        char buf[4096];
-        for (;;) {
-            const ssize_t r = ::read(fd, buf, sizeof(buf));
-            if (r < 0 && errno == EINTR)
-                continue;
-            if (r < 0) {
-                ::close(fd);
-                return Status::ioError(std::string("read: ") +
-                                       std::strerror(errno));
-            }
-            if (r == 0)
-                break;
-            resp.append(buf, static_cast<std::size_t>(r));
-        }
-    } catch (const StatusError &e) {
-        ::close(fd);
-        return e.status();
-    }
-    ::close(fd);
-    const std::size_t eol = resp.find("\r\n");
-    const std::size_t split = resp.find("\r\n\r\n");
-    if (eol == std::string::npos || split == std::string::npos)
-        return Status::corruptData("malformed HTTP response to GET " +
-                                   path);
-    const std::string status_line = resp.substr(0, eol);
-    if (status_line.find(" 200 ") == std::string::npos)
-        return Status::ioError("GET " + path + ": " + status_line);
-    return resp.substr(split + 4);
-}
-
 /** stream exits with this when the server dies mid-session. */
 constexpr int kStreamServerClosedExit = 3;
 
@@ -704,29 +542,55 @@ struct StreamAttempt
     std::uint64_t client_ack_ns = 0;
 };
 
+/**
+ * Fold a failed step of the session into the attempt's verdict:
+ * retry connection-level failures, exit 3 when the server went away
+ * mid-session (so harnesses can tell "server rejected the trace" (1)
+ * from "server went away" (3)), exit 1 on a refusal, and throw
+ * anything else to the CLI boundary.
+ */
+StreamAttempt &
+failAttempt(StreamAttempt &out, const Status &s)
+{
+    switch (s.code()) {
+      case StatusCode::kUnavailable:
+        out.retryable = true;
+        out.note = s.message();
+        break;
+      case StatusCode::kTruncated:
+        std::cerr << "stream: " << s.message() << '\n';
+        out.rc = kStreamServerClosedExit;
+        break;
+      case StatusCode::kFailedPrecondition:
+        std::cerr << "stream: " << s.message() << '\n';
+        out.rc = 1;
+        break;
+      default:
+        throw StatusError(s);
+    }
+    return out;
+}
+
 /** One connect-hello-payload-report round trip against dlwd. */
 StreamAttempt
-streamOnce(const std::string &in, bool bin, const std::string &host,
-           int port, const std::string &tenant, qos::WorkClass klass,
-           std::uint64_t connect_timeout_ms,
-           const std::string &trace_id)
+streamOnce(const std::string &in, const net::StreamHello &hello,
+           const std::string &host, int port,
+           std::uint64_t connect_timeout_ms)
 {
     StreamAttempt out;
 
     // Client-side spans for the end-to-end trace: named under the
     // session's trace id so a merged file groups both processes'
     // slices.  All no-ops while the timeline is disarmed.
-    const bool traced = !trace_id.empty();
+    const bool traced = !hello.trace_id.empty();
     const char *tl_connect = nullptr;
     const char *tl_stream = nullptr;
     const char *tl_report = nullptr;
     if (traced) {
-        tl_connect = obs::internTimelineName("trace/" + trace_id +
-                                             "/client.connect");
-        tl_stream = obs::internTimelineName("trace/" + trace_id +
-                                            "/client.stream");
-        tl_report = obs::internTimelineName("trace/" + trace_id +
-                                            "/client.report");
+        const std::string p = "trace/" + hello.trace_id + "/client.";
+        tl_connect = obs::internTimelineName(p + "connect");
+        tl_stream = obs::internTimelineName(p + "stream");
+        tl_report = obs::internTimelineName(p + "report");
     }
 
     std::ifstream is(in, std::ios::binary);
@@ -736,143 +600,43 @@ streamOnce(const std::string &in, bool bin, const std::string &host,
 
     if (traced)
         obs::emitBegin(tl_connect);
-    const int fd =
-        connectStream(host, port, connect_timeout_ms, out.note);
-    if (fd < 0) {
-        out.retryable = true;
-        return out;
+    net::StreamClient sc;
+    Status s = sc.open(host, port, hello,
+                       net::ClientTimeouts{connect_timeout_ms, 0});
+    out.client_ack_ns = obs::timelineNowNs();
+    if (traced)
+        obs::emitEnd(tl_connect);
+    if (!s.ok())
+        return failAttempt(out, s);
+    out.server_ack_ns = sc.serverAckNs();
+    std::cerr << "stream: session " << sc.session() << '\n';
+
+    if (traced)
+        obs::emitBegin(tl_stream);
+    std::vector<char> buf(64 * 1024);
+    while (s.ok() && is) {
+        is.read(buf.data(), static_cast<std::streamsize>(buf.size()));
+        const auto got = static_cast<std::size_t>(is.gcount());
+        if (got == 0)
+            break;
+        s = sc.send(std::string_view(buf.data(), got));
+    }
+    if (s.ok())
+        s = sc.finish();
+    if (!s.ok())
+        return failAttempt(out, s);
+    if (traced) {
+        obs::emitEnd(tl_stream);
+        obs::emitBegin(tl_report);
     }
 
-    try {
-        const std::string hello = net::renderStreamHello(
-            bin ? net::StreamFormat::kBin : net::StreamFormat::kCsv,
-            tenant, klass, trace_id);
-        sendAll(fd, hello.data(), hello.size());
-
-        const std::string ack = recvLine(fd);
-        out.client_ack_ns = obs::timelineNowNs();
-        if (traced)
-            obs::emitEnd(tl_connect);
-        const auto ack_fields = split(ack, ' ');
-        if (ack_fields.size() >= 2 &&
-            ack_fields[0] == net::kReportMagic &&
-            ack_fields[1] == "error") {
-            // Shed before admission ("DLWR1 error overloaded"):
-            // worth retrying, unlike a session-level error.
-            const std::string msg =
-                ack.substr(std::strlen(net::kReportMagic) +
-                           std::strlen(" error "));
-            if (msg == "overloaded") {
-                out.note = "server overloaded";
-                out.retryable = true;
-                ::close(fd);
-                return out;
-            }
-            if (msg == "throttled") {
-                // QoS shed this class; backoff-and-retry is exactly
-                // what a well-behaved bulk client should do.
-                out.note = "server throttled this class";
-                out.retryable = true;
-                ::close(fd);
-                return out;
-            }
-            std::cerr << "stream: server error: " << msg << '\n';
-            ::close(fd);
-            return out;
-        }
-        if ((ack_fields.size() != 3 && ack_fields.size() != 4) ||
-            ack_fields[0] != net::kHelloMagic ||
-            ack_fields[1] != "ok") {
-            throw StatusError(
-                Status::corruptData("bad hello ack '" + ack + "'"));
-        }
-        // The optional 4th field is the server's monotonic clock at
-        // the ack: paired with client_ack_ns it is the clock-offset
-        // estimate that aligns the two processes' timelines.
-        if (ack_fields.size() == 4)
-            out.server_ack_ns =
-                parseUint(ack_fields[3], "ack timestamp");
-        std::cerr << "stream: session " << ack_fields[2] << '\n';
-
-        if (traced)
-            obs::emitBegin(tl_stream);
-        std::vector<char> buf(64 * 1024);
-        std::string framed;
-        while (is) {
-            is.read(buf.data(),
-                    static_cast<std::streamsize>(buf.size()));
-            const auto got = static_cast<std::size_t>(is.gcount());
-            if (got == 0)
-                break;
-            if (bin) {
-                framed.clear();
-                net::appendFrame(framed, buf.data(), got);
-                sendAll(fd, framed.data(), framed.size());
-            } else {
-                sendAll(fd, buf.data(), got);
-            }
-        }
-        if (bin) {
-            framed.clear();
-            net::appendEndFrame(framed);
-            sendAll(fd, framed.data(), framed.size());
-        }
-        ::shutdown(fd, SHUT_WR);
-        if (traced) {
-            obs::emitEnd(tl_stream);
-            obs::emitBegin(tl_report);
-        }
-
-        const std::string resp = recvLine(fd);
-        const auto fields = split(resp, ' ');
-        if (fields.size() == 3 && fields[0] == net::kReportMagic &&
-            fields[1] == "ok") {
-            const std::uint64_t nbytes =
-                parseUint(fields[2], "report size");
-            std::string report(nbytes, '\0');
-            std::size_t off = 0;
-            while (off < nbytes) {
-                const ssize_t r =
-                    ::read(fd, &report[off], nbytes - off);
-                if (r < 0 && errno == EINTR)
-                    continue;
-                if (r <= 0)
-                    throw StatusError(Status::truncated(
-                        "server closed mid-report"));
-                off += static_cast<std::size_t>(r);
-            }
-            std::cout << report;
-            out.rc = 0;
-        } else if (fields.size() >= 2 &&
-                   fields[0] == net::kReportMagic &&
-                   fields[1] == "error") {
-            std::cerr << "stream: server error: "
-                      << resp.substr(std::strlen(net::kReportMagic) +
-                                     std::strlen(" error "))
-                      << '\n';
-            out.rc = 1;
-        } else {
-            throw StatusError(
-                Status::corruptData("bad response '" + resp + "'"));
-        }
-        if (traced)
-            obs::emitEnd(tl_report);
-    } catch (const StatusError &e) {
-        ::close(fd);
-        if (e.status().code() == StatusCode::kTruncated) {
-            // The connection died under us after admission: exit
-            // with a distinct code so harnesses can tell "server
-            // rejected the trace" (1) from "server went away" (3).
-            std::cerr << "stream: " << e.status().message() << '\n';
-            out.rc = kStreamServerClosedExit;
-            return out;
-        }
-        throw;
-    } catch (...) {
-        ::close(fd);
-        throw;
-    }
-    ::close(fd);
+    StatusOr<std::string> report = sc.report();
+    if (!report.ok())
+        return failAttempt(out, report.status());
+    std::cout << report.value();
+    out.rc = 0;
+    if (traced)
+        obs::emitEnd(tl_report);
     return out;
 }
 
@@ -890,7 +654,8 @@ mergeServerTimeline(const std::string &host, int port,
     if (out.server_ack_ns == 0)
         return; // server predates the timestamped ack
     StatusOr<std::string> body =
-        httpGetBody(host, port, "/v1/timeline", 5000);
+        net::httpGet(host, port, "/v1/timeline",
+                     net::ClientTimeouts{5000, 0});
     if (!body.ok()) {
         std::cerr << "stream: /v1/timeline: "
                   << body.status().toString() << '\n';
@@ -932,11 +697,12 @@ cmdStream(const dlw::Options &opts)
         dlw_fatal("stream wants a .csv or .bin trace, got '", in, "'");
     const std::string host = opts.get("host", "127.0.0.1");
     const int port = static_cast<int>(opts.getInt("port", 7433));
-    const std::string tenant = opts.get("tenant", "anon");
+    net::StreamHello hello;
+    hello.format = bin ? net::StreamFormat::kBin : net::StreamFormat::kCsv;
+    hello.tenant = opts.get("tenant", "anon");
     const std::string klass_name =
         opts.get("class", "interactive");
-    qos::WorkClass klass;
-    if (!qos::parseWorkClass(klass_name, klass)) {
+    if (!qos::parseWorkClass(klass_name, hello.klass)) {
         dlw_fatal("--class wants interactive|bulk|background, got '",
                   klass_name, "'");
     }
@@ -951,7 +717,8 @@ cmdStream(const dlw::Options &opts)
     // whenever --trace-out is armed (a trace file without the server
     // half would be half a feature).  Self-assigned ids — wall clock
     // plus pid, hex — are unique enough across a storm of clients.
-    std::string trace_id = opts.get("trace-id", "");
+    std::string &trace_id = hello.trace_id;
+    trace_id = opts.get("trace-id", "");
     if (trace_id.empty() && opts.has("trace-out")) {
         const auto stamp = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -968,8 +735,7 @@ cmdStream(const dlw::Options &opts)
 
     for (std::size_t attempt = 0;; ++attempt) {
         StreamAttempt out =
-            streamOnce(in, bin, host, port, tenant, klass,
-                       connect_timeout_ms, trace_id);
+            streamOnce(in, hello, host, port, connect_timeout_ms);
         if (!out.retryable) {
             if (out.rc == 0 && !trace_id.empty() &&
                 opts.has("trace-out"))
@@ -991,62 +757,36 @@ cmdStream(const dlw::Options &opts)
     }
 }
 
-/** Number lookup with a default, over the /v1/stats JSON tree. */
-double
-jsonNum(const obs::JsonValue *obj, const std::string &key,
-        double def = 0.0)
-{
-    if (obj == nullptr)
-        return def;
-    const obs::JsonValue *v = obj->find(key);
-    if (v == nullptr || v->type != obs::JsonValue::Type::kNumber)
-        return def;
-    return v->number;
-}
-
-/** String lookup with a default, over the /v1/stats JSON tree. */
-std::string
-jsonStr(const obs::JsonValue *obj, const std::string &key,
-        const std::string &def = std::string())
-{
-    if (obj == nullptr)
-        return def;
-    const obs::JsonValue *v = obj->find(key);
-    if (v == nullptr || v->type != obs::JsonValue::Type::kString)
-        return def;
-    return v->str;
-}
-
 /** Render one `dlwtool top` frame from a parsed /v1/stats document. */
 void
-printTopFrame(std::ostream &os, const obs::JsonValue &doc,
+printTopFrame(std::ostream &os, const JsonValue &doc,
               const std::string &where)
 {
     char line[256];
     os << "dlwd " << where << " — up "
-       << static_cast<std::uint64_t>(jsonNum(&doc, "uptime_s"))
+       << static_cast<std::uint64_t>(jsonNumberAt(&doc, "uptime_s"))
        << "s, " << static_cast<std::uint64_t>(
-                       jsonNum(&doc, "connections"))
+                       jsonNumberAt(&doc, "connections"))
        << " conn(s), " << static_cast<std::uint64_t>(
-                              jsonNum(&doc, "active_sessions"))
+                              jsonNumberAt(&doc, "active_sessions"))
        << " active session(s)"
        << (doc.find("draining") != nullptr &&
                    doc.find("draining")->boolean
                ? ", DRAINING"
                : "")
        << '\n';
-    const obs::JsonValue *pool = doc.find("pool");
+    const JsonValue *pool = doc.find("pool");
     std::snprintf(line, sizeof(line),
                   "pool: %llu queued on %llu thread(s)    "
                   "fold p95 %.1fus\n",
                   static_cast<unsigned long long>(
-                      jsonNum(pool, "queue_depth")),
+                      jsonNumberAt(pool, "queue_depth")),
                   static_cast<unsigned long long>(
-                      jsonNum(pool, "threads")),
-                  jsonNum(&doc, "fold_p95_us"));
+                      jsonNumberAt(pool, "threads")),
+                  jsonNumberAt(&doc, "fold_p95_us"));
     os << line;
 
-    const obs::JsonValue *stages = doc.find("stages");
+    const JsonValue *stages = doc.find("stages");
     if (stages != nullptr) {
         os << "stage        count      p50us      p95us      p99us\n";
         for (const auto &kv : stages->members) {
@@ -1054,59 +794,59 @@ printTopFrame(std::ostream &os, const obs::JsonValue &doc,
                 line, sizeof(line), "%-10s %8llu %10.1f %10.1f %10.1f\n",
                 kv.first.c_str(),
                 static_cast<unsigned long long>(
-                    jsonNum(&kv.second, "count")),
-                jsonNum(&kv.second, "p50_us"),
-                jsonNum(&kv.second, "p95_us"),
-                jsonNum(&kv.second, "p99_us"));
+                    jsonNumberAt(&kv.second, "count")),
+                jsonNumberAt(&kv.second, "p50_us"),
+                jsonNumberAt(&kv.second, "p95_us"),
+                jsonNumberAt(&kv.second, "p99_us"));
             os << line;
         }
     }
 
-    const obs::JsonValue *tenants = doc.find("tenants");
+    const JsonValue *tenants = doc.find("tenants");
     if (tenants != nullptr && !tenants->items.empty()) {
         os << "tenant/class            sessions      records\n";
-        for (const obs::JsonValue &t : tenants->items) {
+        for (const JsonValue &t : tenants->items) {
             const std::string tag =
-                jsonStr(&t, "tenant") + "/" + jsonStr(&t, "class");
+                jsonStringAt(&t, "tenant") + "/" + jsonStringAt(&t, "class");
             std::snprintf(line, sizeof(line), "%-22s %9llu %12llu\n",
                           tag.c_str(),
                           static_cast<unsigned long long>(
-                              jsonNum(&t, "sessions")),
+                              jsonNumberAt(&t, "sessions")),
                           static_cast<unsigned long long>(
-                              jsonNum(&t, "records")));
+                              jsonNumberAt(&t, "records")));
             os << line;
         }
     }
 
-    const obs::JsonValue *qos = doc.find("qos");
+    const JsonValue *qos = doc.find("qos");
     if (qos != nullptr && qos->find("enabled") != nullptr &&
         qos->find("enabled")->boolean) {
-        const obs::JsonValue *limits = qos->find("limits");
+        const JsonValue *limits = qos->find("limits");
         std::snprintf(line, sizeof(line),
                       "qos: pressure %lldm    limits i/b/bg "
                       "%llu/%llu/%llu rec/s\n",
                       static_cast<long long>(
-                          jsonNum(qos, "pressure_milli")),
+                          jsonNumberAt(qos, "pressure_milli")),
                       static_cast<unsigned long long>(
-                          jsonNum(limits, "interactive")),
+                          jsonNumberAt(limits, "interactive")),
                       static_cast<unsigned long long>(
-                          jsonNum(limits, "bulk")),
+                          jsonNumberAt(limits, "bulk")),
                       static_cast<unsigned long long>(
-                          jsonNum(limits, "background")));
+                          jsonNumberAt(limits, "background")));
         os << line;
-        const obs::JsonValue *tags = qos->find("tags");
+        const JsonValue *tags = qos->find("tags");
         if (tags != nullptr && !tags->items.empty()) {
             os << "tag                       rate/s   balance(micro)\n";
-            for (const obs::JsonValue &t : tags->items) {
+            for (const JsonValue &t : tags->items) {
                 const std::string tag =
-                    jsonStr(&t, "tenant") + "/" + jsonStr(&t, "class");
+                    jsonStringAt(&t, "tenant") + "/" + jsonStringAt(&t, "class");
                 std::snprintf(
                     line, sizeof(line), "%-22s %9llu %16lld\n",
                     tag.c_str(),
                     static_cast<unsigned long long>(
-                        jsonNum(&t, "rate_per_s")),
+                        jsonNumberAt(&t, "rate_per_s")),
                     static_cast<long long>(
-                        jsonNum(&t, "balance_micro")));
+                        jsonNumberAt(&t, "balance_micro")));
                 os << line;
             }
         }
@@ -1133,11 +873,11 @@ cmdTop(const dlw::Options &opts)
     const std::string where = host + ":" + std::to_string(port);
 
     for (std::uint64_t frame = 0;; ++frame) {
-        StatusOr<std::string> body =
-            httpGetBody(host, port, "/v1/stats", 5000);
+        StatusOr<std::string> body = net::httpGet(
+            host, port, "/v1/stats", net::ClientTimeouts{5000, 0});
         if (!body.ok())
             throw StatusError(body.status());
-        StatusOr<obs::JsonValue> doc = obs::parseJson(body.value());
+        StatusOr<JsonValue> doc = parseJson(body.value());
         if (!doc.ok())
             throw StatusError(doc.status());
         if (iterations != 1)
