@@ -442,7 +442,9 @@ Session::restore(BinDec &dec)
     const std::uint8_t klass = dec.u8();
     const std::uint8_t format = dec.u8();
     const std::uint8_t state = dec.u8();
-    if (!dec.ok() || klass >= qos::kWorkClassCount || format > 1 ||
+    if (!dec.ok() || !net::isIdToken(id, kMaxSessionIdBytes) ||
+        !net::isIdToken(tenant) || klass >= qos::kWorkClassCount ||
+        format > 1 ||
         state > static_cast<std::uint8_t>(SessionState::kAborted))
         return nullptr;
     auto s = std::make_shared<Session>(
@@ -466,6 +468,8 @@ Session::restore(BinDec &dec)
             return nullptr;
     }
     s->trace_id_ = dec.str();
+    if (!s->trace_id_.empty() && !net::isIdToken(s->trace_id_))
+        return nullptr;
     s->internTraceNames();
     s->started_at_ms_ = dec.u64();
     s->final_duration_ms_ = dec.u64();

@@ -99,6 +99,12 @@ struct StageStats
 };
 
 /**
+ * Longest session id: "<tenant>-<n>", a hello tenant plus a dash and
+ * a decimal uint64.
+ */
+constexpr std::size_t kMaxSessionIdBytes = net::kMaxIdBytes + 1 + 20;
+
+/**
  * One streaming session: decoder + live characterization + final
  * report.  Thread-safe where the daemon needs it to be (see file
  * comment); everything else is loop-thread-only.
@@ -230,6 +236,11 @@ class Session
      * feeding it the remaining payload bytes yields a final report
      * byte-identical to an uninterrupted run.  A restored done
      * session serves its stored report without refolding.
+     *
+     * The blob carries no checksum, so the id, tenant and trace id
+     * are held to the hello's id-token rules (net::isIdToken): the
+     * id names the session's checkpoint file and must not reach
+     * outside the state dir.
      *
      * @return nullptr when the blob is truncated or garbled.
      */

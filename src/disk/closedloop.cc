@@ -168,7 +168,7 @@ class Loop
     Rng rng_;
 
     sim::EventQueue eq_;
-    std::vector<QueuedRequest> queue_;
+    RequestQueue queue_;
     std::size_t next_index_ = 0;
     std::uint64_t completed_ = 0;
     std::uint64_t cache_hits_ = 0;

@@ -127,7 +127,11 @@ struct ServiceLog
     /** Mean response time over all completions (0 when empty). */
     double meanResponse() const;
 
-    /** Response time at a quantile (exact, sorts a copy). */
+    /**
+     * Response time at a quantile: the element at rank
+     * round(q * (n - 1)) of the sorted responses, exact, found by
+     * selection on a copy in O(n) rather than a full sort.
+     */
     Tick responseQuantile(double q) const;
 
     /**

@@ -29,7 +29,7 @@ Scheduler::Scheduler(SchedPolicy policy)
 }
 
 std::size_t
-Scheduler::pick(const std::vector<QueuedRequest> &queue,
+Scheduler::pick(const RequestQueue &queue,
                 std::uint64_t head_cylinder,
                 const DiskGeometry &geometry)
 {

@@ -11,7 +11,7 @@
 #define DLW_DISK_SCHEDULER_HH
 
 #include <cstddef>
-#include <vector>
+#include <deque>
 
 #include "disk/geometry.hh"
 #include "qos/tag.hh"
@@ -43,6 +43,13 @@ struct QueuedRequest
 };
 
 /**
+ * The drive's pending requests in arrival order.  A deque, so the
+ * FCFS pop from the front is O(1) however deep a saturated queue
+ * grows.
+ */
+using RequestQueue = std::deque<QueuedRequest>;
+
+/**
  * Stateful scheduler: the elevator policy remembers its direction.
  */
 class Scheduler
@@ -56,12 +63,15 @@ class Scheduler
     /**
      * Choose the next request to service.
      *
+     * FCFS is O(1); SSTF and the elevator scan the whole queue, and
+     * among equally near requests the lowest index wins.
+     *
      * @param queue        Pending requests (non-empty).
      * @param head_cylinder Current head position.
      * @param geometry     Geometry for LBA-to-cylinder mapping.
      * @return Index into queue of the chosen request.
      */
-    std::size_t pick(const std::vector<QueuedRequest> &queue,
+    std::size_t pick(const RequestQueue &queue,
                      std::uint64_t head_cylinder,
                      const DiskGeometry &geometry);
 

@@ -16,6 +16,22 @@ streamFormatName(StreamFormat f)
     return f == StreamFormat::kCsv ? "csv" : "bin";
 }
 
+bool
+isIdToken(const std::string &s, std::size_t max_bytes)
+{
+    if (s.empty() || s.size() > max_bytes)
+        return false;
+    for (char c : s) {
+        const bool ok = (c >= 'a' && c <= 'z') ||
+                        (c >= 'A' && c <= 'Z') ||
+                        (c >= '0' && c <= '9') || c == '.' ||
+                        c == '_' || c == '-';
+        if (!ok)
+            return false;
+    }
+    return true;
+}
+
 Status
 parseStreamHello(const std::string &line, StreamHello &out)
 {
@@ -39,17 +55,9 @@ parseStreamHello(const std::string &line, StreamHello &out)
     out.klass = qos::WorkClass::kInteractive;
     out.trace_id.clear();
     if (f.size() >= 3) {
-        if (f[2].empty() || f[2].size() > 64)
-            return Status::invalidArgument("bad tenant id length");
-        for (char c : f[2]) {
-            const bool ok = (c >= 'a' && c <= 'z') ||
-                            (c >= 'A' && c <= 'Z') ||
-                            (c >= '0' && c <= '9') || c == '.' ||
-                            c == '_' || c == '-';
-            if (!ok) {
-                return Status::invalidArgument(
-                    "bad tenant id (want [A-Za-z0-9._-])");
-            }
+        if (!isIdToken(f[2])) {
+            return Status::invalidArgument(
+                "bad tenant id (want 1-64 of [A-Za-z0-9._-])");
         }
         out.tenant = f[2];
     }
@@ -59,17 +67,9 @@ parseStreamHello(const std::string &line, StreamHello &out)
             "' (interactive|bulk|background)");
     }
     if (f.size() == 5) {
-        if (f[4].empty() || f[4].size() > 64)
-            return Status::invalidArgument("bad trace id length");
-        for (char c : f[4]) {
-            const bool ok = (c >= 'a' && c <= 'z') ||
-                            (c >= 'A' && c <= 'Z') ||
-                            (c >= '0' && c <= '9') || c == '.' ||
-                            c == '_' || c == '-';
-            if (!ok) {
-                return Status::invalidArgument(
-                    "bad trace id (want [A-Za-z0-9._-])");
-            }
+        if (!isIdToken(f[4])) {
+            return Status::invalidArgument(
+                "bad trace id (want 1-64 of [A-Za-z0-9._-])");
         }
         out.trace_id = f[4];
     }

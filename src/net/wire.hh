@@ -62,6 +62,9 @@ inline constexpr const char *kReportMagic = "DLWR1";
 /** Hard cap on the hello line (sniffing budget). */
 inline constexpr std::size_t kMaxHelloBytes = 256;
 
+/** Longest tenant or trace id a hello may carry, in bytes. */
+inline constexpr std::size_t kMaxIdBytes = 64;
+
 /** Hard cap on one binary frame's payload. */
 inline constexpr std::size_t kMaxFrameBytes = std::size_t(1) << 20;
 
@@ -93,6 +96,13 @@ struct StreamHello
  * ([A-Za-z0-9._-], at most 64 bytes); absent means untraced.
  */
 Status parseStreamHello(const std::string &line, StreamHello &out);
+
+/**
+ * True when `s` is 1 to `max_bytes` characters of [A-Za-z0-9._-].
+ * Such a token is one space-free wire field and, holding no '/', a
+ * file name that stays inside the directory it is joined to.
+ */
+bool isIdToken(const std::string &s, std::size_t max_bytes = kMaxIdBytes);
 
 /**
  * Render the hello line, newline included.  The class field is only

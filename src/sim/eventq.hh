@@ -4,9 +4,11 @@
  *
  * A minimal but complete event queue: events carry a firing tick and
  * a priority; the queue pops them in (tick, priority, insertion
- * order) order so simulations are fully deterministic.  The disk
- * drive model and the idle-time background scheduler are both built
- * on this kernel.
+ * order) order so simulations are fully deterministic.  The
+ * closed-loop replay (disk/closedloop), whose N thinking clients keep
+ * any number of events pending, is built on this kernel; the
+ * trace-driven drive engine, which never has more than three, uses
+ * typed slots instead.
  */
 
 #ifndef DLW_SIM_EVENTQ_HH

@@ -228,6 +228,28 @@ TEST(StreamHello, RoundTrip)
     EXPECT_FALSE(net::parseStreamHello("DLWS1 csv bad*tenant", h).ok());
 }
 
+TEST(StreamHello, IdTokenRules)
+{
+    EXPECT_TRUE(net::isIdToken("acme-3"));
+    EXPECT_TRUE(net::isIdToken("A.b_c-9"));
+    EXPECT_TRUE(net::isIdToken(std::string(64, 'x')));
+    EXPECT_FALSE(net::isIdToken(std::string(65, 'x')));
+    EXPECT_TRUE(net::isIdToken(std::string(65, 'x'), 65));
+    EXPECT_FALSE(net::isIdToken(""));
+    EXPECT_FALSE(net::isIdToken("../x"));
+    EXPECT_FALSE(net::isIdToken("a b"));
+    EXPECT_FALSE(net::isIdToken("a\"b"));
+    // The hello applies the same rules to the tenant and trace id.
+    net::StreamHello h;
+    EXPECT_FALSE(net::parseStreamHello("DLWS1 csv a/b", h).ok());
+    EXPECT_FALSE(
+        net::parseStreamHello("DLWS1 csv t bulk " + std::string(65, 'x'),
+                              h).ok());
+    EXPECT_TRUE(
+        net::parseStreamHello("DLWS1 csv t bulk " + std::string(64, 'x'),
+                              h).ok());
+}
+
 TEST(StreamHello, WorkloadClassField)
 {
     net::StreamHello h;
@@ -2005,7 +2027,8 @@ TEST(Client, HttpGetReturnsTheBody)
  * restored session's JSON is deterministic down to the byte.
  */
 std::string
-fixedDoneBlob(const std::string &id, const std::string &tenant)
+fixedDoneBlob(const std::string &id, const std::string &tenant,
+              const std::string &error = "")
 {
     std::string blob;
     BinEnc enc(blob);
@@ -2014,7 +2037,7 @@ fixedDoneBlob(const std::string &id, const std::string &tenant)
     enc.u8(static_cast<std::uint8_t>(qos::WorkClass::kBulk));
     enc.u8(0); // csv
     enc.u8(static_cast<std::uint8_t>(daemon::SessionState::kDone));
-    enc.str("");   // no error
+    enc.str(error);
     enc.u8(1);     // settled
     enc.u64(4096); // payload bytes
     enc.u8(1);     // final report present
@@ -2106,12 +2129,18 @@ TEST(SessionGolden, RestoredListingEntryBytes)
               "\"records_per_s\":6000.0}]\n");
 }
 
-TEST(ServerIntegration, SessionListingEscapesRestoredStrings)
+TEST(ServerIntegration, RestoredStringsStayValidJson)
 {
-    // Checkpoint blobs carry no checksum and restore() does not vet
-    // their characters, so the listing must escape what it finds.
+    // Checkpoint blobs carry no checksum.  restore() holds the id and
+    // tenant to the hello's id-token rules, so a garbled tenant never
+    // reaches the listing; the free-form error text still reaches the
+    // report, which must escape it.
+    const std::string garbled = fixedDoneBlob("odd-1", "a\"b\n");
+    BinDec dec(garbled);
+    EXPECT_EQ(daemon::Session::restore(dec), nullptr);
+
     daemon::ServerConfig cfg;
-    cfg.state_dir = stateDirWith(fixedDoneBlob("odd-1", "a\"b\n"),
+    cfg.state_dir = stateDirWith(fixedDoneBlob("odd-1", "odd", "a\"b\n"),
                                  "escape_list");
     ServerFixture f(cfg);
     const std::string body =
@@ -2119,9 +2148,58 @@ TEST(ServerIntegration, SessionListingEscapesRestoredStrings)
     StatusOr<JsonValue> doc = parseJson(body);
     ASSERT_TRUE(doc.ok()) << doc.status().toString() << "\n" << body;
     ASSERT_EQ(doc.value().items.size(), 1u) << body;
-    const JsonValue *tenant = doc.value().items[0].find("tenant");
-    ASSERT_NE(tenant, nullptr);
-    EXPECT_EQ(tenant->str, "a\"b\n");
+    const std::string report =
+        httpBody(httpGet(f.port(), "/v1/sessions/odd-1/report"));
+    StatusOr<JsonValue> rdoc = parseJson(report);
+    ASSERT_TRUE(rdoc.ok()) << rdoc.status().toString() << "\n" << report;
+    const JsonValue *error = rdoc.value().find("error");
+    ASSERT_NE(error, nullptr) << report;
+    EXPECT_EQ(error->str, "a\"b\n");
+}
+
+TEST(SessionCheckpoint, PathEscapingIdRejected)
+{
+    // The daemon names a session's checkpoint "<state-dir>/<id>.ckpt",
+    // so an id holding '/' would read and write outside the state dir.
+    for (const char *id : {"../x", "a/b", "", "x y"}) {
+        const std::string blob = fixedDoneBlob(id, "t");
+        BinDec dec(blob);
+        EXPECT_EQ(daemon::Session::restore(dec), nullptr) << id;
+    }
+
+    const std::string root = ::testing::TempDir() + "dlw_ckpt_escape_" +
+                             std::to_string(::getpid());
+    const std::string dir = root + "/state";
+    ::mkdir(root.c_str(), 0755);
+    ::mkdir(dir.c_str(), 0755);
+    const std::string outside = root + "/x.ckpt";
+    ::unlink(outside.c_str());
+    const std::string path = dir + "/evil.ckpt";
+    {
+        std::string file = daemon::kCheckpointMagic;
+        BinEnc enc(file);
+        enc.u32(daemon::kCheckpointVersion);
+        file += fixedDoneBlob("../x", "t");
+        std::ofstream os(path, std::ios::binary);
+        os << file;
+    }
+    const auto loaded = daemon::loadSessionCheckpoint(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruptData);
+
+    {
+        daemon::ServerConfig cfg;
+        cfg.state_dir = dir;
+        ServerFixture f(cfg);
+        StatusOr<JsonValue> doc =
+            parseJson(httpBody(httpGet(f.port(), "/v1/sessions")));
+        ASSERT_TRUE(doc.ok()) << doc.status().toString();
+        EXPECT_TRUE(doc.value().items.empty());
+    }
+    // The garbled checkpoint was dropped and nothing was written
+    // beside the state dir.
+    EXPECT_TRUE(daemon::listCheckpointFiles(dir).empty());
+    EXPECT_NE(::access(outside.c_str(), F_OK), 0);
 }
 
 TEST(ServerIntegration, DrainCompletesInFlightSession)

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.hh"
 #include "disk/drive.hh"
 #include "synth/workload.hh"
@@ -246,6 +249,37 @@ TEST(Drive, ResponseQuantilesOrdered)
     ServiceLog log = DiskDrive(testConfig(true)).service(tr);
     EXPECT_LE(log.responseQuantile(0.5), log.responseQuantile(0.9));
     EXPECT_LE(log.responseQuantile(0.9), log.responseQuantile(0.99));
+}
+
+TEST(Drive, ResponseQuantileMatchesSortedReference)
+{
+    // Selection must return exactly the element a full sort puts at
+    // rank round(q * (n - 1)), including among tied responses.
+    Rng rng(8);
+    for (const std::size_t n : {1u, 2u, 3u, 10u, 101u, 1000u, 4097u}) {
+        ServiceLog log;
+        for (std::size_t i = 0; i < n; ++i) {
+            Completion c;
+            c.index = i;
+            c.arrival = rng.uniformInt(0, 1000);
+            // Few distinct responses, so most ranks sit inside ties.
+            c.finish = c.arrival + rng.uniformInt(0, 7) * kMsec;
+            log.completions.push_back(c);
+        }
+        std::vector<Tick> sorted;
+        for (const Completion &c : log.completions)
+            sorted.push_back(c.response());
+        std::sort(sorted.begin(), sorted.end());
+        for (int k = 0; k <= 200; ++k) {
+            const double q = k / 200.0;
+            const auto idx = std::min(
+                static_cast<std::size_t>(
+                    q * static_cast<double>(n - 1) + 0.5),
+                n - 1);
+            ASSERT_EQ(log.responseQuantile(q), sorted[idx])
+                << "n=" << n << " q=" << q;
+        }
+    }
 }
 
 TEST(Drive, EmptyTraceProducesEmptyLog)

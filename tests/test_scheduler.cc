@@ -37,8 +37,7 @@ TEST(Scheduler, FcfsAlwaysFront)
 {
     DiskGeometry g = flatGeometry();
     Scheduler s(SchedPolicy::Fcfs);
-    std::vector<QueuedRequest> q = {reqAt(900, 0), reqAt(10, 1),
-                                    reqAt(500, 2)};
+    RequestQueue q = {reqAt(900, 0), reqAt(10, 1), reqAt(500, 2)};
     EXPECT_EQ(s.pick(q, 50, g), 0u);
 }
 
@@ -47,8 +46,7 @@ TEST(Scheduler, SstfPicksNearestCylinder)
     DiskGeometry g = flatGeometry();
     Scheduler s(SchedPolicy::Sstf);
     // Head at cylinder 50 (block 500).
-    std::vector<QueuedRequest> q = {reqAt(900, 0), reqAt(480, 1),
-                                    reqAt(10, 2)};
+    RequestQueue q = {reqAt(900, 0), reqAt(480, 1), reqAt(10, 2)};
     EXPECT_EQ(s.pick(q, 50, g), 1u); // cylinder 48 is closest
 }
 
@@ -56,7 +54,7 @@ TEST(Scheduler, SstfExactMatchWins)
 {
     DiskGeometry g = flatGeometry();
     Scheduler s(SchedPolicy::Sstf);
-    std::vector<QueuedRequest> q = {reqAt(900, 0), reqAt(505, 1)};
+    RequestQueue q = {reqAt(900, 0), reqAt(505, 1)};
     EXPECT_EQ(s.pick(q, 50, g), 1u);
 }
 
@@ -65,10 +63,10 @@ TEST(Scheduler, ElevatorSweepsUpThenReverses)
     DiskGeometry g = flatGeometry();
     Scheduler s(SchedPolicy::Elevator);
     // Head at 50, sweeping up: picks 60 not 45.
-    std::vector<QueuedRequest> q = {reqAt(450, 0), reqAt(600, 1)};
+    RequestQueue q = {reqAt(450, 0), reqAt(600, 1)};
     EXPECT_EQ(s.pick(q, 50, g), 1u);
     // Nothing above 90: reverses and picks the highest below.
-    std::vector<QueuedRequest> q2 = {reqAt(450, 0), reqAt(100, 1)};
+    RequestQueue q2 = {reqAt(450, 0), reqAt(100, 1)};
     EXPECT_EQ(s.pick(q2, 90, g), 0u);
 }
 
@@ -76,9 +74,24 @@ TEST(Scheduler, ElevatorPrefersNearestAhead)
 {
     DiskGeometry g = flatGeometry();
     Scheduler s(SchedPolicy::Elevator);
-    std::vector<QueuedRequest> q = {reqAt(990, 0), reqAt(600, 1),
-                                    reqAt(700, 2)};
+    RequestQueue q = {reqAt(990, 0), reqAt(600, 1), reqAt(700, 2)};
     EXPECT_EQ(s.pick(q, 50, g), 1u);
+}
+
+TEST(Scheduler, TiesGoToLowestIndex)
+{
+    DiskGeometry g = flatGeometry();
+    // Cylinders 40 and 60 are equally far from 50; 60 twice.
+    Scheduler sstf(SchedPolicy::Sstf);
+    RequestQueue q = {reqAt(600, 0), reqAt(400, 1), reqAt(605, 2)};
+    EXPECT_EQ(sstf.pick(q, 50, g), 0u);
+    RequestQueue q2 = {reqAt(400, 0), reqAt(600, 1)};
+    EXPECT_EQ(sstf.pick(q2, 50, g), 0u);
+    // The elevator sweeps up: the two requests on cylinder 60 tie.
+    Scheduler elev(SchedPolicy::Elevator);
+    EXPECT_EQ(elev.pick(q, 50, g), 0u);
+    RequestQueue q3 = {reqAt(400, 0), reqAt(605, 1), reqAt(600, 2)};
+    EXPECT_EQ(elev.pick(q3, 50, g), 1u);
 }
 
 TEST(Scheduler, SingleElementShortCircuits)
@@ -87,7 +100,7 @@ TEST(Scheduler, SingleElementShortCircuits)
     for (auto p : {SchedPolicy::Fcfs, SchedPolicy::Sstf,
                    SchedPolicy::Elevator}) {
         Scheduler s(p);
-        std::vector<QueuedRequest> q = {reqAt(990, 7)};
+        RequestQueue q = {reqAt(990, 7)};
         EXPECT_EQ(s.pick(q, 0, g), 0u) << schedPolicyName(p);
     }
 }
@@ -103,7 +116,7 @@ TEST(SchedulerDeathTest, EmptyQueue)
 {
     DiskGeometry g = flatGeometry();
     Scheduler s(SchedPolicy::Fcfs);
-    std::vector<QueuedRequest> q;
+    RequestQueue q;
     EXPECT_DEATH(s.pick(q, 0, g), "empty queue");
 }
 

@@ -85,6 +85,7 @@
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "obs/sampler.hh"
+#include "obs/span.hh"
 #include "obs/timeline.hh"
 #include "obs/timeline_export.hh"
 #include "qos/ratekeeper.hh"
@@ -271,10 +272,14 @@ cmdAnalyze(const dlw::Options &opts)
             if (stats.dirty())
                 std::cout << "ingestion: " << stats.summary()
                           << "\n\n";
-            auto service_src = trace::openMsSource(in, io)
-                                   .valueOrThrow();
-            disk::ServiceLog log =
-                drive.service(*service_src, nullptr, batch);
+            // The service trip decodes as it serves, so its
+            // ingest.open/ingest.parse spans nest inside "service".
+            disk::ServiceLog log = [&] {
+                obs::ScopedSpan span("service");
+                auto service_src =
+                    trace::openMsSource(in, io).valueOrThrow();
+                return drive.service(*service_src, nullptr, batch);
+            }();
             auto pass_src = trace::openMsSource(in, io).valueOrThrow();
             core::DriveCharacterization c =
                 core::characterizeMs(*pass_src, log);
@@ -293,7 +298,10 @@ cmdAnalyze(const dlw::Options &opts)
     tr.sortByArrival();
     tr.validate(true);
 
-    disk::ServiceLog log = drive.service(tr);
+    disk::ServiceLog log = [&] {
+        obs::ScopedSpan span("service");
+        return drive.service(tr);
+    }();
     core::DriveCharacterization c = core::characterizeMs(tr, log);
     std::cout << c.render();
     return 0;
