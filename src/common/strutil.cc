@@ -1,6 +1,5 @@
 #include "common/strutil.hh"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -28,16 +27,64 @@ split(std::string_view s, char delim)
     return out;
 }
 
+std::size_t
+splitFields(std::string_view s, char delim, std::string_view *out,
+            std::size_t cap)
+{
+    std::size_t n = 0;
+    for (;;) {
+        const std::size_t pos = s.find(delim);
+        if (n < cap)
+            out[n] = s.substr(0, pos);
+        ++n;
+        if (pos == std::string_view::npos)
+            return n;
+        s.remove_prefix(pos + 1);
+    }
+}
+
+namespace
+{
+
+/** std::isspace in the "C" locale, inlined for the field scanners. */
+bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/** Parse all of trimView(s) as an integer of type T. */
+template <typename T>
+bool
+parseWholeInteger(std::string_view s, T &out)
+{
+    const std::string_view t = trimView(s);
+    T v = 0;
+    auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
+    if (ec != std::errc() || p != t.data() + t.size())
+        return false;
+    out = v;
+    return true;
+}
+
+} // anonymous namespace
+
 std::string
 trim(std::string_view s)
 {
+    return std::string(trimView(s));
+}
+
+std::string_view
+trimView(std::string_view s)
+{
     std::size_t b = 0;
     std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
+    while (b < e && isSpace(s[b]))
         ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
+    while (e > b && isSpace(s[e - 1]))
         --e;
-    return std::string(s.substr(b, e - b));
+    return s.substr(b, e - b);
 }
 
 bool
@@ -171,25 +218,13 @@ tryParseDouble(std::string_view s, double &out)
 bool
 tryParseInt(std::string_view s, std::int64_t &out)
 {
-    std::string t = trim(s);
-    std::int64_t v = 0;
-    auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
-    if (ec != std::errc() || p != t.data() + t.size())
-        return false;
-    out = v;
-    return true;
+    return parseWholeInteger(s, out);
 }
 
 bool
 tryParseUint(std::string_view s, std::uint64_t &out)
 {
-    std::string t = trim(s);
-    std::uint64_t v = 0;
-    auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
-    if (ec != std::errc() || p != t.data() + t.size())
-        return false;
-    out = v;
-    return true;
+    return parseWholeInteger(s, out);
 }
 
 } // namespace dlw

@@ -17,8 +17,21 @@ namespace dlw
 /** Split a string on a single-character delimiter (keeps empties). */
 std::vector<std::string> split(std::string_view s, char delim);
 
+/**
+ * The allocation-free field scanner: split() as views into `s`.
+ * Fields follow split()'s rules (empties kept; an empty string is one
+ * empty field).  The first `cap` fields are stored in `out`.
+ *
+ * @return The number of fields in `s`, which may exceed `cap`.
+ */
+std::size_t splitFields(std::string_view s, char delim,
+                        std::string_view *out, std::size_t cap);
+
 /** Strip leading and trailing ASCII whitespace. */
 std::string trim(std::string_view s);
+
+/** trim() as a view into `s` (no copy). */
+std::string_view trimView(std::string_view s);
 
 /** True when the string begins with the given prefix. */
 bool startsWith(std::string_view s, std::string_view prefix);

@@ -43,37 +43,51 @@ registerCoreMetrics()
     coreMetrics();
 }
 
+MsTracePass::MsTracePass()
+{
+    pass_.add(burstiness_);
+    pass_.add(rwmix_);
+    pass_.add(totals_);
+}
+
+void
+MsTracePass::begin(const trace::RequestSource &src)
+{
+    drive_id_ = src.driveId();
+    pass_.begin(src);
+}
+
+Status
+MsTracePass::run(trace::RequestSource &src)
+{
+    obs::ScopedSpan stage("trace-pass");
+    drive_id_ = src.driveId();
+    return pass_.run(src);
+}
+
+void
+MsTracePass::fill(DriveCharacterization &c) const
+{
+    c.drive_id = drive_id_;
+    c.ms_burstiness = burstiness_.report();
+    c.ms_rw = rwmix_.report();
+    c.arrival_rate = totals_.arrivalRate();
+    c.read_fraction = totals_.readFraction();
+}
+
 DriveCharacterization
-characterizeMs(trace::RequestSource &src, const disk::ServiceLog &log)
+characterizeMs(const MsTracePass &trace, const disk::ServiceLog &log)
 {
     obs::ScopedSpan span("characterize");
     coreMetrics().ms_runs.add(1);
 
     DriveCharacterization c;
-    c.drive_id = src.driveId();
-
+    trace.fill(c);
     {
         obs::ScopedSpan stage("utilization");
         c.util_1s = utilizationProfile(log, kSec);
         c.util_1min = utilizationProfile(log, kMinute);
     }
-
-    // One fused trip over the request stream feeds every
-    // trace-derived analysis.
-    BurstinessAccumulator burstiness;
-    RwMixAccumulator rwmix;
-    TraceTotalsAccumulator totals;
-    {
-        obs::ScopedSpan stage("trace-pass");
-        CharacterizationPass pass;
-        pass.add(burstiness);
-        pass.add(rwmix);
-        pass.add(totals);
-        pass.run(src);
-    }
-    c.ms_burstiness = burstiness.report();
-    c.ms_rw = rwmix.report();
-
     {
         obs::ScopedSpan stage("idleness");
         IdlenessAnalysis idle(log);
@@ -90,9 +104,15 @@ characterizeMs(trace::RequestSource &src, const disk::ServiceLog &log)
             static_cast<double>(log.responseQuantile(0.99)) /
             static_cast<double>(kMsec);
     }
-    c.arrival_rate = totals.arrivalRate();
-    c.read_fraction = totals.readFraction();
     return c;
+}
+
+DriveCharacterization
+characterizeMs(trace::RequestSource &src, const disk::ServiceLog &log)
+{
+    MsTracePass trace;
+    trace.run(src);
+    return characterizeMs(trace, log);
 }
 
 DriveCharacterization

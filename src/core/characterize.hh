@@ -65,14 +65,62 @@ struct DriveCharacterization
 };
 
 /**
+ * The trace-derived half of a ms-scale characterization: burstiness,
+ * read/write dynamics and the request totals (arrival rate, read
+ * fraction), fused into one CharacterizationPass.  run() pulls a
+ * source through it; a caller that already consumes the stream
+ * pushes the batches instead (begin, observe, finish), as a streamed
+ * analyze does from inside the drive engine's decode trip.
+ */
+class MsTracePass
+{
+  public:
+    MsTracePass();
+    MsTracePass(const MsTracePass &) = delete;
+    MsTracePass &operator=(const MsTracePass &) = delete;
+
+    /** Start of stream (window and drive id are read here). */
+    void begin(const trace::RequestSource &src);
+
+    /** One batch, in arrival order. */
+    void observe(const trace::RequestBatch &batch) { pass_.observe(batch); }
+
+    /** End of a clean stream. */
+    void finish() { pass_.finish(); }
+
+    /**
+     * begin(), every batch of `src`, finish(), under a "trace-pass"
+     * span.
+     *
+     * @return The source's terminal status.
+     */
+    Status run(trace::RequestSource &src);
+
+    /** Write the trace-derived figures into `c` (after finish()). */
+    void fill(DriveCharacterization &c) const;
+
+  private:
+    std::string drive_id_;
+    BurstinessAccumulator burstiness_;
+    RwMixAccumulator rwmix_;
+    TraceTotalsAccumulator totals_;
+    CharacterizationPass pass_;
+};
+
+/**
+ * Complete a characterization from a finished MsTracePass and the
+ * service log the disk model produced for the same stream: the
+ * log-derived half (utilization, idleness, response quantiles).
+ * Both analyze modes assemble their report here.
+ */
+DriveCharacterization characterizeMs(const MsTracePass &trace,
+                                     const disk::ServiceLog &log);
+
+/**
  * Characterize a drive from a streaming request source and the
- * service log the disk model produced for it.  The trace-derived
- * figures (burstiness, read/write dynamics, arrival rate, read
- * fraction) come from one fused CharacterizationPass over the
- * source — the stream is decoded once and peak memory is O(batch)
- * plus bounded accumulator state; the log-derived figures
- * (utilization, idleness, response quantiles) read the log as
- * before.
+ * service log the disk model produced for it: one MsTracePass trip
+ * over the source (peak memory O(batch) plus bounded accumulator
+ * state), then the log-derived half.
  */
 DriveCharacterization characterizeMs(trace::RequestSource &src,
                                      const disk::ServiceLog &log);

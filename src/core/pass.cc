@@ -129,11 +129,9 @@ TraceTotalsAccumulator::loadState(BinDec &dec)
     return dec.ok();
 }
 
-Status
-CharacterizationPass::run(trace::RequestSource &src,
-                          std::size_t batch_requests)
+void
+CharacterizationPass::begin(const trace::RequestSource &src)
 {
-    obs::ScopedSpan span("core.pass");
     if (obs::enabled()) {
         PassMetrics &m = passMetrics();
         m.runs.add(1);
@@ -141,23 +139,38 @@ CharacterizationPass::run(trace::RequestSource &src,
         m.kernel_isa.set(
             static_cast<std::int64_t>(stats::simd::activeIsa()));
     }
-
     for (TraceAccumulator *acc : accs_)
         acc->begin(src);
+}
 
-    trace::RequestBatch batch(batch_requests);
-    while (src.next(batch)) {
-        if (obs::enabled())
-            passMetrics().batches.add(1);
-        for (TraceAccumulator *acc : accs_)
-            acc->observe(batch);
-    }
+void
+CharacterizationPass::observe(const trace::RequestBatch &batch)
+{
+    if (obs::enabled())
+        passMetrics().batches.add(1);
+    for (TraceAccumulator *acc : accs_)
+        acc->observe(batch);
+}
 
-    Status s = src.status();
-    if (!s.ok())
-        return s;
+void
+CharacterizationPass::finish()
+{
     for (TraceAccumulator *acc : accs_)
         acc->finish();
+}
+
+Status
+CharacterizationPass::run(trace::RequestSource &src,
+                          std::size_t batch_requests)
+{
+    obs::ScopedSpan span("core.pass");
+    begin(src);
+    trace::RequestBatch batch(batch_requests);
+    while (src.next(batch))
+        observe(batch);
+    Status s = src.status();
+    if (s.ok())
+        finish();
     return s;
 }
 

@@ -122,7 +122,10 @@ class TraceTotalsAccumulator : public TraceAccumulator
 /**
  * Drive a set of accumulators over one request stream in a single
  * decode trip.  Accumulators are borrowed, not owned; add() them
- * before run().
+ * before the pass begins.  run() pulls the source itself; a caller
+ * that already consumes the stream (the drive engine, in a streamed
+ * analyze) pushes the batches instead with begin(), observe() and
+ * finish().
  */
 class CharacterizationPass
 {
@@ -132,6 +135,15 @@ class CharacterizationPass
 
     /** Number of registered accumulators. */
     std::size_t accumulators() const { return accs_.size(); }
+
+    /** Start of stream: begin every accumulator. */
+    void begin(const trace::RequestSource &src);
+
+    /** Fan one batch, in arrival order, out to every accumulator. */
+    void observe(const trace::RequestBatch &batch);
+
+    /** End of a clean stream: finish every accumulator. */
+    void finish();
 
     /**
      * Stream the source to exhaustion through every accumulator:

@@ -287,16 +287,16 @@ StreamClient::open(const std::string &host, int port,
             return Status::unavailable("server throttled this class");
         return Status::failedPrecondition("server error: " + message);
     }
-    const std::vector<std::string> f = split(ack.value(), ' ');
+    std::string_view f[4];
+    const std::size_t n = splitFields(ack.value(), ' ', f, 4);
     // The optional 4th field is the server's monotonic clock at the
     // ack, the other half of a client/server clock-offset estimate.
-    if ((f.size() != 3 && f.size() != 4) || f[0] != kHelloMagic ||
-        f[1] != "ok" ||
-        (f.size() == 4 && !tryParseUint(f[3], server_ack_ns_))) {
+    if ((n != 3 && n != 4) || f[0] != kHelloMagic || f[1] != "ok" ||
+        (n == 4 && !tryParseUint(f[3], server_ack_ns_))) {
         return Status::corruptData("bad hello ack '" + ack.value() +
                                    "'");
     }
-    session_ = f[2];
+    session_ = std::string(f[2]);
     return Status();
 }
 
@@ -340,9 +340,10 @@ StreamClient::report()
     std::string message;
     if (reportError(line.value(), message))
         return Status::failedPrecondition("server error: " + message);
-    const std::vector<std::string> f = split(line.value(), ' ');
+    std::string_view f[3];
     std::uint64_t nbytes = 0;
-    if (f.size() != 3 || f[0] != kReportMagic || f[1] != "ok" ||
+    if (splitFields(line.value(), ' ', f, 3) != 3 ||
+        f[0] != kReportMagic || f[1] != "ok" ||
         !tryParseUint(f[2], nbytes)) {
         return Status::corruptData("bad response '" + line.value() +
                                    "'");

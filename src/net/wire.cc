@@ -17,7 +17,7 @@ streamFormatName(StreamFormat f)
 }
 
 bool
-isIdToken(const std::string &s, std::size_t max_bytes)
+isIdToken(std::string_view s, std::size_t max_bytes)
 {
     if (s.empty() || s.size() > max_bytes)
         return false;
@@ -35,10 +35,11 @@ isIdToken(const std::string &s, std::size_t max_bytes)
 Status
 parseStreamHello(const std::string &line, StreamHello &out)
 {
-    auto f = split(trim(line), ' ');
-    if (f.empty() || f[0] != kHelloMagic)
+    std::string_view f[5];
+    const std::size_t n = splitFields(trimView(line), ' ', f, 5);
+    if (f[0] != kHelloMagic)
         return Status::invalidArgument("not a dlw stream hello");
-    if (f.size() < 2 || f.size() > 5) {
+    if (n < 2 || n > 5) {
         return Status::invalidArgument(
             "malformed hello (want 'DLWS1 <csv|bin> "
             "[tenant [class [trace]]]')");
@@ -49,29 +50,29 @@ parseStreamHello(const std::string &line, StreamHello &out)
         out.format = StreamFormat::kBin;
     } else {
         return Status::invalidArgument("unknown stream format '" +
-                                       f[1] + "' (csv|bin)");
+                                       std::string(f[1]) + "' (csv|bin)");
     }
     out.tenant = "anon";
     out.klass = qos::WorkClass::kInteractive;
     out.trace_id.clear();
-    if (f.size() >= 3) {
+    if (n >= 3) {
         if (!isIdToken(f[2])) {
             return Status::invalidArgument(
                 "bad tenant id (want 1-64 of [A-Za-z0-9._-])");
         }
-        out.tenant = f[2];
+        out.tenant = std::string(f[2]);
     }
-    if (f.size() >= 4 && !qos::parseWorkClass(f[3], out.klass)) {
+    if (n >= 4 && !qos::parseWorkClass(std::string(f[3]), out.klass)) {
         return Status::invalidArgument(
-            "unknown workload class '" + f[3] +
+            "unknown workload class '" + std::string(f[3]) +
             "' (interactive|bulk|background)");
     }
-    if (f.size() == 5) {
+    if (n == 5) {
         if (!isIdToken(f[4])) {
             return Status::invalidArgument(
                 "bad trace id (want 1-64 of [A-Za-z0-9._-])");
         }
-        out.trace_id = f[4];
+        out.trace_id = std::string(f[4]);
     }
     return Status();
 }
@@ -187,45 +188,61 @@ StreamDecoder::drain(ByteQueue &in)
 Status
 StreamDecoder::drainCsv(ByteQueue &in)
 {
-    for (;;) {
-        const std::size_t nl = in.find('\n');
-        if (nl == ByteQueue::npos) {
-            if (in.size() > max_line_bytes_) {
-                return Status::invalidArgument(
-                    "oversized CSV line (connection buffer budget "
-                    "exceeded)");
-            }
-            return Status();
-        }
-        std::string line(in.data(), nl);
-        in.consume(nl + 1);
-
-        if (!saw_header_line_) {
-            Status s = trace::parseMsCsvHeaderLine(line, header_);
-            if (!s.ok())
-                return s;
-            saw_header_line_ = true;
-            header_ready_ = true;
-            continue;
-        }
-        if (!saw_column_line_) {
-            saw_column_line_ = true;
-            continue;
-        }
-        const std::string t = trim(line);
-        if (t.empty())
-            continue;
-        trace::Request r;
-        trace::MsRecordParse p =
-            trace::parseMsCsvRecordLine(t, /*clamp=*/false, r);
-        if (!p.why.empty()) {
-            std::ostringstream os;
-            os << "record " << records_ << ": " << p.why;
-            return Status::corruptData(os.str());
-        }
-        pending_.push_back(r);
-        ++records_;
+    // Lines are decoded in place as views into `in`; the consumed
+    // prefix is dropped once, after the last complete line.
+    const char *const base = in.data();
+    const std::size_t size = in.size();
+    std::size_t pos = 0;
+    Status s;
+    while (s.ok()) {
+        const void *nl = std::memchr(base + pos, '\n', size - pos);
+        if (nl == nullptr)
+            break;
+        const auto at =
+            static_cast<std::size_t>(static_cast<const char *>(nl) - base);
+        const std::string_view line(base + pos, at - pos);
+        pos = at + 1;
+        s = decodeCsvLine(line);
     }
+    in.consume(pos);
+    if (!s.ok())
+        return s;
+    if (in.size() > max_line_bytes_) {
+        return Status::invalidArgument(
+            "oversized CSV line (connection buffer budget exceeded)");
+    }
+    return Status();
+}
+
+Status
+StreamDecoder::decodeCsvLine(std::string_view line)
+{
+    if (!saw_header_line_) {
+        Status s = trace::parseMsCsvHeaderLine(line, header_);
+        if (!s.ok())
+            return s;
+        saw_header_line_ = true;
+        header_ready_ = true;
+        return Status();
+    }
+    if (!saw_column_line_) {
+        saw_column_line_ = true;
+        return Status();
+    }
+    const std::string_view t = trimView(line);
+    if (t.empty())
+        return Status();
+    trace::Request r;
+    trace::MsRecordParse p =
+        trace::parseMsCsvRecordLine(t, /*clamp=*/false, r);
+    if (!p.why.empty()) {
+        std::ostringstream os;
+        os << "record " << records_ << ": " << p.why;
+        return Status::corruptData(os.str());
+    }
+    pending_.push_back(r);
+    ++records_;
+    return Status();
 }
 
 Status

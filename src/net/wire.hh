@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/binenc.hh"
@@ -102,7 +103,7 @@ Status parseStreamHello(const std::string &line, StreamHello &out);
  * Such a token is one space-free wire field and, holding no '/', a
  * file name that stays inside the directory it is joined to.
  */
-bool isIdToken(const std::string &s, std::size_t max_bytes = kMaxIdBytes);
+bool isIdToken(std::string_view s, std::size_t max_bytes = kMaxIdBytes);
 
 /**
  * Render the hello line, newline included.  The class field is only
@@ -215,6 +216,8 @@ class StreamDecoder
 
   private:
     Status drainCsv(ByteQueue &in);
+    /** Decode one CSV line (header, column names or a record). */
+    Status decodeCsvLine(std::string_view line);
     Status drainBin(ByteQueue &in);
     Status decodeBinPayload();
 

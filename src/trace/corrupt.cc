@@ -111,7 +111,9 @@ garbleFields(const std::string &in, const CorruptSpec &spec, Rng &rng)
     }
     for (std::size_t e = 0; e < spec.count; ++e) {
         std::string &line = buf.lines[pickRecordLine(buf, rng)];
-        auto fields = split(line, ',');
+        std::vector<std::string_view> fields(
+            splitFields(line, ',', nullptr, 0));
+        splitFields(line, ',', fields.data(), fields.size());
         auto victim = static_cast<std::size_t>(rng.uniformInt(
             0, static_cast<std::int64_t>(fields.size()) - 1));
         fields[victim] = "?!";

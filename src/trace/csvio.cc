@@ -135,14 +135,15 @@ readHourCsv(std::istream &is, const IngestOptions &opts,
     std::string line;
     if (!std::getline(is, line))
         return fail(Status::truncated("empty hour-trace CSV"));
-    auto head = split(trim(line), ',');
+    const std::string_view head_line = trimView(line);
+    std::string_view head[3];
     std::int64_t start = 0;
-    if (head.size() != 3 || head[0] != "# dlw-hour-v1" ||
-        !tryParseInt(head[2], start)) {
+    if (splitFields(head_line, ',', head, 3) != 3 ||
+        head[0] != "# dlw-hour-v1" || !tryParseInt(head[2], start)) {
         return fail(Status::corruptData("bad hour-trace header '" +
-                                        trim(line) + "'"));
+                                        std::string(head_line) + "'"));
     }
-    HourTrace trace(head[1], start);
+    HourTrace trace(std::string(head[1]), start);
     if (!std::getline(is, line)) {
         return fail(
             Status::truncated("truncated CSV: missing column header"));
@@ -151,7 +152,7 @@ readHourCsv(std::istream &is, const IngestOptions &opts,
     std::size_t lineno = 2;
     while (std::getline(is, line)) {
         ++lineno;
-        std::string t = trim(line);
+        const std::string_view t = trimView(line);
         if (t.empty())
             continue;
         const std::size_t record_bytes = line.size() + 1;
@@ -163,8 +164,8 @@ readHourCsv(std::istream &is, const IngestOptions &opts,
         if (FAULT_POINT("trace.read.record")) {
             why = atLine(lineno, "injected fault at trace.read.record");
         } else {
-            auto f = split(t, ',');
-            if (f.size() != 6) {
+            std::string_view f[6];
+            if (splitFields(t, ',', f, 6) != 6) {
                 why = atLine(lineno, "expected 6 fields");
             } else if (!tryParseUint(f[0], h) ||
                        !tryParseUint(f[1], b.reads) ||
@@ -266,12 +267,14 @@ readLifetimeCsv(std::istream &is, const IngestOptions &opts,
     std::string line;
     if (!std::getline(is, line))
         return fail(Status::truncated("empty lifetime-trace CSV"));
-    auto head = split(trim(line), ',');
-    if (head.size() != 2 || head[0] != "# dlw-lifetime-v1") {
+    const std::string_view head_line = trimView(line);
+    std::string_view head[2];
+    if (splitFields(head_line, ',', head, 2) != 2 ||
+        head[0] != "# dlw-lifetime-v1") {
         return fail(Status::corruptData("bad lifetime-trace header '" +
-                                        trim(line) + "'"));
+                                        std::string(head_line) + "'"));
     }
-    LifetimeTrace trace(head[1]);
+    LifetimeTrace trace{std::string(head[1])};
     if (!std::getline(is, line)) {
         return fail(
             Status::truncated("truncated CSV: missing column header"));
@@ -280,7 +283,7 @@ readLifetimeCsv(std::istream &is, const IngestOptions &opts,
     std::size_t lineno = 2;
     while (std::getline(is, line)) {
         ++lineno;
-        std::string t = trim(line);
+        const std::string_view t = trimView(line);
         if (t.empty())
             continue;
         const std::size_t record_bytes = line.size() + 1;
@@ -291,8 +294,8 @@ readLifetimeCsv(std::istream &is, const IngestOptions &opts,
         if (FAULT_POINT("trace.read.record")) {
             why = atLine(lineno, "injected fault at trace.read.record");
         } else {
-            auto f = split(t, ',');
-            if (f.size() != 10) {
+            std::string_view f[10];
+            if (splitFields(t, ',', f, 10) != 10) {
                 why = atLine(lineno, "expected 10 fields");
             } else if (!tryParseInt(f[1], r.power_on) ||
                        !tryParseInt(f[2], r.busy) ||

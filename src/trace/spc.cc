@@ -27,7 +27,7 @@ readSpc(std::istream &is, const std::string &drive_id,
 
     while (std::getline(is, line)) {
         ++lineno;
-        std::string t = trim(line);
+        const std::string_view t = trimView(line);
         if (t.empty() || t[0] == '#')
             continue;
         const std::size_t record_bytes = line.size() + 1;
@@ -45,11 +45,11 @@ readSpc(std::istream &is, const std::string &drive_id,
         if (FAULT_POINT("trace.read.record")) {
             why = at("injected fault at trace.read.record");
         } else {
-            auto f = split(t, ',');
+            std::string_view f[5];
             std::int64_t rec_asu = 0;
             std::uint64_t size_bytes = 0;
             double ts = 0.0;
-            if (f.size() < 5) {
+            if (splitFields(t, ',', f, 5) < 5) {
                 why = at("expected 5 fields");
             } else if (!tryParseInt(f[0], rec_asu)) {
                 why = at("malformed asu '" + trim(f[0]) + "'");
@@ -77,13 +77,13 @@ readSpc(std::istream &is, const std::string &drive_id,
                 if (why.empty() || was_clamped) {
                     r.blocks = static_cast<BlockCount>(size_bytes /
                                                        kBlockBytes);
-                    const std::string op = trim(f[3]);
+                    const std::string_view op = trimView(f[3]);
                     if (op == "r" || op == "R") {
                         r.op = Op::Read;
                     } else if (op == "w" || op == "W") {
                         r.op = Op::Write;
                     } else {
-                        why = at("bad opcode '" + op + "'");
+                        why = at("bad opcode '" + std::string(op) + "'");
                         was_clamped = false;
                     }
                 }

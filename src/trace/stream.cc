@@ -2,14 +2,17 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "common/fault.hh"
 #include "common/strutil.hh"
 #include "obs/span.hh"
+#include "trace/spc.hh"
 
 namespace dlw
 {
@@ -45,19 +48,95 @@ atLine(std::size_t lineno, const std::string &what)
 }
 
 /**
- * Streaming decoder for the dlw-ms-v1 CSV format.  One getline/parse
- * loop per next() call, stopping at batch capacity; the per-record
- * logic is the seed reader's, verbatim, so policies, stats, and error
- * text stay identical between the streaming and whole-file paths.
+ * The CSV decoder's line splitter.  Reads the stream kCsvChunkBytes
+ * at a time and hands out lines as views into the chunk, found with
+ * memchr, with std::getline's semantics: the view excludes the '\n',
+ * a last line without one still counts, and nothing follows a final
+ * '\n'.  A line longer than the buffer grows it.
+ */
+class LineReader
+{
+  public:
+    /** A stream already in a failed state reads as empty. */
+    explicit LineReader(std::istream &is)
+        : buf_(is.rdbuf()), chunk_(kCsvChunkBytes), eof_(!is)
+    {
+    }
+
+    /**
+     * The next line, valid until the next call.
+     *
+     * @return False at end of input.
+     */
+    bool
+    next(std::string_view &line)
+    {
+        for (;;) {
+            const char *base = chunk_.data();
+            const void *nl =
+                std::memchr(base + begin_, '\n', end_ - begin_);
+            if (nl != nullptr) {
+                const auto at = static_cast<std::size_t>(
+                    static_cast<const char *>(nl) - base);
+                line = std::string_view(base + begin_, at - begin_);
+                begin_ = at + 1;
+                return true;
+            }
+            if (eof_) {
+                if (begin_ == end_)
+                    return false;
+                line = std::string_view(base + begin_, end_ - begin_);
+                begin_ = end_;
+                return true;
+            }
+            refill();
+        }
+    }
+
+  private:
+    /** Move the partial line to the front and read behind it. */
+    void
+    refill()
+    {
+        std::memmove(chunk_.data(), chunk_.data() + begin_,
+                     end_ - begin_);
+        end_ -= begin_;
+        begin_ = 0;
+        if (end_ == chunk_.size())
+            chunk_.resize(2 * chunk_.size());
+        const std::streamsize n = buf_->sgetn(
+            chunk_.data() + end_,
+            static_cast<std::streamsize>(chunk_.size() - end_));
+        if (n <= 0)
+            eof_ = true;
+        else
+            end_ += static_cast<std::size_t>(n);
+    }
+
+    std::streambuf *buf_;
+    std::vector<char> chunk_;
+    std::size_t begin_ = 0; ///< first unread byte
+    std::size_t end_ = 0;   ///< one past the last buffered byte
+    bool eof_;
+};
+
+/**
+ * Streaming decoder for the dlw-ms-v1 CSV format.  One line/parse
+ * loop per next() call, stopping at batch capacity; each line is
+ * parsed in place, so steady-state decoding allocates nothing.
+ * Policies, stats and error text are the whole-file reader's, since
+ * that reader is a drain over this source.
  */
 class MsCsvSource final : public FileSource
 {
   public:
     MsCsvSource(const IngestOptions &opts, std::string drive_id,
                 Tick start, Tick duration,
-                std::unique_ptr<std::istream> owned, std::istream &is)
+                std::unique_ptr<std::istream> owned, std::istream &is,
+                LineReader lines)
         : FileSource(opts, std::move(drive_id), start, duration,
-                     std::move(owned), is)
+                     std::move(owned), is),
+          lines_(std::move(lines))
     {
     }
 
@@ -69,10 +148,11 @@ class MsCsvSource final : public FileSource
         if (done_)
             return false;
 
-        std::string line;
-        while (!batch.full() && std::getline(is_, line)) {
+        const bool clamp = gate_.clampMode();
+        std::string_view line;
+        while (!batch.full() && lines_.next(line)) {
             ++lineno_;
-            std::string t = trim(line);
+            const std::string_view t = trimView(line);
             if (t.empty())
                 continue;
             const std::size_t record_bytes = line.size() + 1;
@@ -84,8 +164,7 @@ class MsCsvSource final : public FileSource
                 why = atLine(lineno_,
                              "injected fault at trace.read.record");
             } else {
-                MsRecordParse p =
-                    parseMsCsvRecordLine(t, gate_.clampMode(), r);
+                MsRecordParse p = parseMsCsvRecordLine(t, clamp, r);
                 was_clamped = p.clamped;
                 if (!p.why.empty())
                     why = atLine(lineno_, p.why);
@@ -117,6 +196,7 @@ class MsCsvSource final : public FileSource
     }
 
   private:
+    LineReader lines_;
     std::size_t lineno_ = 2; ///< two header lines already consumed
 };
 
@@ -230,20 +310,21 @@ StatusOr<std::unique_ptr<FileSource>>
 makeCsvSource(std::unique_ptr<std::istream> owned, std::istream &is,
               const IngestOptions &opts)
 {
-    std::string line;
-    if (!std::getline(is, line))
+    LineReader lines(is);
+    std::string_view line;
+    if (!lines.next(line))
         return Status::truncated("empty ms-trace CSV");
     MsStreamHeader head;
     Status hs = parseMsCsvHeaderLine(line, head);
     if (!hs.ok())
         return hs;
-    if (!std::getline(is, line)) {
+    if (!lines.next(line)) {
         return Status::truncated(
             "truncated CSV: missing column header");
     }
-    return std::unique_ptr<FileSource>(
-        new MsCsvSource(opts, std::move(head.drive_id), head.start,
-                        head.duration, std::move(owned), is));
+    return std::unique_ptr<FileSource>(new MsCsvSource(
+        opts, std::move(head.drive_id), head.start, head.duration,
+        std::move(owned), is, std::move(lines)));
 }
 
 StatusOr<std::unique_ptr<FileSource>>
@@ -311,54 +392,54 @@ openFromPath(const std::string &path, const IngestOptions &opts,
     return r;
 }
 
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(),
-                     suffix) == 0;
-}
-
 } // anonymous namespace
 
 const std::array<char, 8> kMsBinaryMagic =
     {'D', 'L', 'W', 'M', 'S', '1', '\0', '\0'};
 
 Status
-parseMsCsvHeaderLine(const std::string &line, MsStreamHeader &out)
+parseMsCsvHeaderLine(std::string_view line, MsStreamHeader &out)
 {
-    auto head = split(trim(line), ',');
+    const std::string_view t = trimView(line);
+    std::string_view head[4];
     std::int64_t start = 0, duration = 0;
-    if (head.size() != 4 || head[0] != "# dlw-ms-v1" ||
+    if (splitFields(t, ',', head, 4) != 4 || head[0] != "# dlw-ms-v1" ||
         !tryParseInt(head[2], start) ||
         !tryParseInt(head[3], duration) || duration < 0) {
         return Status::corruptData("bad ms-trace header '" +
-                                   trim(line) + "'");
+                                   std::string(t) + "'");
     }
-    out.drive_id = head[1];
+    out.drive_id = std::string(head[1]);
     out.start = start;
     out.duration = duration;
     return Status();
 }
 
 MsRecordParse
-parseMsCsvRecordLine(const std::string &trimmed, bool clamp,
-                     Request &out)
+parseMsCsvRecordLine(std::string_view trimmed, bool clamp, Request &out)
 {
+    // Error text quotes the trimmed field, as "<what> '<field>'".
+    const auto quoted = [](const char *what, std::string_view field) {
+        std::string s = what;
+        s += " '";
+        s += trimView(field);
+        s += '\'';
+        return s;
+    };
     MsRecordParse p;
-    auto f = split(trimmed, ',');
+    std::string_view f[4];
     std::uint64_t blocks = 0;
-    if (f.size() != 4) {
+    if (splitFields(trimmed, ',', f, 4) != 4) {
         p.why = "expected 4 fields";
     } else if (!tryParseInt(f[0], out.arrival)) {
-        p.why = "malformed arrival '" + trim(f[0]) + "'";
+        p.why = quoted("malformed arrival", f[0]);
     } else if (!tryParseUint(f[1], out.lba)) {
-        p.why = "malformed lba '" + trim(f[1]) + "'";
+        p.why = quoted("malformed lba", f[1]);
     } else if (!tryParseUint(f[2], blocks)) {
-        p.why = "malformed blocks '" + trim(f[2]) + "'";
+        p.why = quoted("malformed blocks", f[2]);
     } else {
         out.blocks = static_cast<BlockCount>(blocks);
-        const std::string op = trim(f[3]);
+        const std::string_view op = trimView(f[3]);
         if (op == "R") {
             out.op = Op::Read;
         } else if (op == "W") {
@@ -366,20 +447,16 @@ parseMsCsvRecordLine(const std::string &trimmed, bool clamp,
         } else if (clamp && (op == "r" || op == "w")) {
             out.op = op == "r" ? Op::Read : Op::Write;
             p.clamped = true;
-            p.why = "lowercase op '" + op + "'";
+            p.why = quoted("lowercase op", op);
         } else {
-            p.why = "bad op '" + op + "'";
+            p.why = quoted("bad op", op);
         }
         if (p.why.empty() || p.clamped) {
             if (out.blocks == 0) {
-                if (clamp) {
+                p.clamped = clamp;
+                p.why = "zero-length request";
+                if (clamp)
                     out.blocks = 1;
-                    p.clamped = true;
-                    p.why = "zero-length request";
-                } else {
-                    p.clamped = false;
-                    p.why = "zero-length request";
-                }
             }
         }
     }
@@ -464,6 +541,15 @@ openMsSource(const std::string &path, const IngestOptions &opts)
     return Status::invalidArgument(
         "no streaming decoder for '" + path +
         "' (expected .csv or .bin; SPC traces need a global sort)");
+}
+
+StatusOr<MsTrace>
+readMsFile(const std::string &path, const IngestOptions &opts,
+           IngestStats *stats)
+{
+    if (endsWith(path, ".spc"))
+        return readSpc(path, path, opts, stats);
+    return drainMsSource(openMsSource(path, opts), stats);
 }
 
 } // namespace trace

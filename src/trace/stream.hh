@@ -24,6 +24,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/status.hh"
@@ -94,6 +95,9 @@ class FileSource : public RequestSource
     bool done_ = false;
 };
 
+/** Read size of the CSV decoder: it reads its input in chunks of this. */
+constexpr std::size_t kCsvChunkBytes = 64 * 1024;
+
 /**
  * Open a streaming CSV decoder over a caller-owned stream (which
  * must outlive the source) or a file path.  Fails on a bad or
@@ -136,8 +140,7 @@ struct MsStreamHeader
 };
 
 /** Parse a `# dlw-ms-v1,<id>,<start>,<duration>` header line. */
-Status parseMsCsvHeaderLine(const std::string &line,
-                            MsStreamHeader &out);
+Status parseMsCsvHeaderLine(std::string_view line, MsStreamHeader &out);
 
 /**
  * Outcome of decoding one record (CSV line or raw binary record).
@@ -155,12 +158,14 @@ struct MsRecordParse
 
 /**
  * Parse one trimmed, non-empty CSV record line
- * (`arrival,lba,blocks,op`).  `clamp` enables the best-effort
- * repairs of RecordPolicy::kBestEffortClamp (lowercase ops,
- * zero-length requests).
+ * (`arrival,lba,blocks,op`) in place: the fields are scanned as views
+ * and nothing is allocated unless the line is corrupt.  `clamp`
+ * enables the best-effort repairs of RecordPolicy::kBestEffortClamp
+ * (lowercase ops, zero-length requests).  Fields of `out` are written
+ * in column order, each only once it parsed.
  */
-MsRecordParse parseMsCsvRecordLine(const std::string &trimmed,
-                                   bool clamp, Request &out);
+MsRecordParse parseMsCsvRecordLine(std::string_view trimmed, bool clamp,
+                                   Request &out);
 
 /** On-wire binary request record, explicitly padded to 24 bytes. */
 struct MsRawRecord
@@ -187,6 +192,16 @@ MsRecordParse decodeMsRawRecord(const MsRawRecord &raw, bool clamp,
  */
 StatusOr<std::unique_ptr<FileSource>> openMsSource(
     const std::string &path, const IngestOptions &opts);
+
+/**
+ * Read a whole ms trace picked by file extension: .csv and .bin
+ * drain their streaming decoders, .spc goes through readSpc() (the
+ * path doubles as drive id).  Any other extension is
+ * InvalidArgument.
+ */
+StatusOr<MsTrace> readMsFile(const std::string &path,
+                             const IngestOptions &opts,
+                             IngestStats *stats = nullptr);
 
 } // namespace trace
 } // namespace dlw

@@ -8,18 +8,25 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hh"
+#include "core/analyze.hh"
+#include "core/pass.hh"
 #include "fleet/pipeline.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "trace/csvio.hh"
 #include "trace/ingest.hh"
+#include "synth/workload.hh"
 
 namespace dlw
 {
@@ -351,6 +358,63 @@ TEST(ObsIngest, ReaderPublishesCounters)
     EXPECT_EQ(vals["ingest.records_skipped"], 1u);
     EXPECT_EQ(vals["ingest.errors"], 1u);
     EXPECT_GT(vals["ingest.bytes_read"], 0u);
+}
+
+/** Metric counts, and span counts by name path, of one analyze run. */
+std::map<std::string, std::uint64_t>
+analyzeMetricValues(bool stream)
+{
+    Rng rng(3);
+    synth::Workload w = synth::Workload::makeOltp(1 << 24, 80.0, 3);
+    const std::string path = ::testing::TempDir() + "dlw_obs_analyze_" +
+                             std::to_string(::getpid()) + ".csv";
+    trace::writeMsCsv(path, w.generate(rng, "obs", 0, 60 * kSec));
+
+    resetAll();
+    trace::registerIngestMetrics();
+    core::registerPassMetrics();
+    ScopedEnable on;
+    core::AnalyzeOptions opts;
+    opts.stream = stream;
+    std::ostringstream out;
+    core::analyzeTraceFile(path, opts, out);
+
+    std::map<std::string, std::uint64_t> vals;
+    for (const MetricSnapshot &m :
+         Registry::instance().snapshotMetrics())
+        vals[m.info.name] = m.count;
+    std::vector<std::pair<std::string, const SpanStats *>> todo;
+    const SpanStats root = spanSnapshot();
+    for (const SpanStats &top : root.children)
+        todo.emplace_back(top.name, &top);
+    while (!todo.empty()) {
+        auto [path_name, node] = todo.back();
+        todo.pop_back();
+        vals["span." + path_name] = node->count;
+        for (const SpanStats &child : node->children)
+            todo.emplace_back(path_name + "/" + child.name, &child);
+    }
+    return vals;
+}
+
+TEST(ObsIngest, StreamedAnalyzeDecodesItsInputOnce)
+{
+    auto vals = analyzeMetricValues(true);
+    EXPECT_EQ(vals["ingest.passes"], 1u);
+    EXPECT_EQ(vals["core.pass.runs"], 1u);
+    EXPECT_EQ(vals["core.pass.batches"], vals["trace.batch.batches"]);
+    // Characterization time is its own slice, one per batch, nested
+    // in service rather than a second trip after it.
+    EXPECT_EQ(vals["span.service/ingest.parse/trace-pass"],
+              vals["core.pass.batches"]);
+    EXPECT_GT(vals["span.service/ingest.parse/trace-pass"], 0u);
+    EXPECT_EQ(vals["span.characterize"], 1u);
+
+    // The whole-trace path reads once and folds in its own pass.
+    vals = analyzeMetricValues(false);
+    EXPECT_EQ(vals["ingest.passes"], 1u);
+    EXPECT_EQ(vals["core.pass.runs"], 1u);
+    EXPECT_EQ(vals["span.trace-pass"], 1u);
 }
 
 /** Deterministic fleet metric values for one thread count. */

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/strutil.hh"
 #include "common/types.hh"
 
@@ -50,6 +55,81 @@ TEST(Trim, StripsBothEnds)
     EXPECT_EQ(trim("x"), "x");
     EXPECT_EQ(trim("   "), "");
     EXPECT_EQ(trim(""), "");
+}
+
+TEST(SplitFields, MatchesSplit)
+{
+    for (const char *line : {"a,b,c", "a,,c,", "lonely", "", ",", ",,,"}) {
+        const std::vector<std::string> want = split(line, ',');
+        std::string_view got[8];
+        ASSERT_EQ(splitFields(line, ',', got, 8), want.size()) << line;
+        for (std::size_t i = 0; i < want.size(); ++i)
+            EXPECT_EQ(got[i], want[i]) << line << " field " << i;
+    }
+}
+
+TEST(SplitFields, CountsPastTheCap)
+{
+    std::string_view f[2];
+    EXPECT_EQ(splitFields("1,2,3,4,5", ',', f, 2), 5u);
+    EXPECT_EQ(f[0], "1");
+    EXPECT_EQ(f[1], "2");
+    EXPECT_EQ(splitFields("1,2,3", ',', nullptr, 0), 3u);
+}
+
+TEST(TrimView, MatchesTrimWithoutCopying)
+{
+    const std::string s = " \t\r\v\f x y \n\r";
+    const std::string_view v = trimView(s);
+    EXPECT_EQ(v, "x y");
+    EXPECT_EQ(v, trim(s));
+    EXPECT_EQ(v.data(), s.data() + 6);
+    EXPECT_EQ(trimView(" \t\r\n"), "");
+    EXPECT_EQ(trimView(""), "");
+}
+
+TEST(TryParseInt, TrimsSurroundingWhitespaceAndCr)
+{
+    std::int64_t v = 0;
+    EXPECT_TRUE(tryParseInt(" \t42\r", v));
+    EXPECT_EQ(v, 42);
+    EXPECT_TRUE(tryParseInt("\r-17 \n", v));
+    EXPECT_EQ(v, -17);
+    std::uint64_t u = 0;
+    EXPECT_TRUE(tryParseUint("\t7\r\n", u));
+    EXPECT_EQ(u, 7u);
+}
+
+TEST(TryParseInt, AcceptsExactlyWhatItDid)
+{
+    std::int64_t v = 5;
+    EXPECT_TRUE(tryParseInt("-0", v));
+    EXPECT_EQ(v, 0);
+    EXPECT_TRUE(tryParseInt("-9223372036854775808", v));
+    EXPECT_EQ(v, INT64_MIN);
+    v = 5;
+    // Rejections leave the output untouched.
+    for (const char *bad : {"+1", "", "  ", "1 2", "1x", "0x1", "1.0",
+                            "9223372036854775808", "--1", "- 1"}) {
+        EXPECT_FALSE(tryParseInt(bad, v)) << bad;
+        EXPECT_EQ(v, 5) << bad;
+    }
+}
+
+TEST(TryParseUint, AcceptsExactlyWhatItDid)
+{
+    std::uint64_t v = 5;
+    EXPECT_TRUE(tryParseUint("18446744073709551615", v));
+    EXPECT_EQ(v, 18446744073709551615ULL);
+    EXPECT_TRUE(tryParseUint("007", v));
+    EXPECT_EQ(v, 7u);
+    v = 5;
+    // 2^64 overflows; signs are not digits.
+    for (const char *bad : {"18446744073709551616", "-0", "-1", "+1",
+                            "", "\r", "1,2"}) {
+        EXPECT_FALSE(tryParseUint(bad, v)) << bad;
+        EXPECT_EQ(v, 5u) << bad;
+    }
 }
 
 TEST(StartsWith, Matches)

@@ -72,6 +72,7 @@
 #include "common/rng.hh"
 #include "common/status.hh"
 #include "common/strutil.hh"
+#include "core/analyze.hh"
 #include "core/characterize.hh"
 #include "core/live.hh"
 #include "daemon/server.hh"
@@ -98,7 +99,6 @@
 #include "trace/csvio.hh"
 #include "trace/ingest.hh"
 #include "trace/source.hh"
-#include "trace/spc.hh"
 #include "trace/stream.hh"
 
 namespace
@@ -116,18 +116,23 @@ ingestOptions(const dlw::Options &opts)
     return io;
 }
 
+/** Fail loudly unless the path names a readable trace format. */
+void
+requireTraceExtension(const std::string &path)
+{
+    if (!endsWith(path, ".bin") && !endsWith(path, ".csv") &&
+        !endsWith(path, ".spc")) {
+        dlw_fatal("unknown trace extension on '", path,
+                  "' (want .csv, .bin, or .spc)");
+    }
+}
+
 trace::MsTrace
 readAny(const std::string &path, const trace::IngestOptions &io,
         trace::IngestStats *stats)
 {
-    if (endsWith(path, ".bin"))
-        return trace::readMsBinary(path, io, stats).valueOrThrow();
-    if (endsWith(path, ".csv"))
-        return trace::readMsCsv(path, io, stats).valueOrThrow();
-    if (endsWith(path, ".spc"))
-        return trace::readSpc(path, path, io, stats).valueOrThrow();
-    dlw_fatal("unknown trace extension on '", path,
-              "' (want .csv, .bin, or .spc)");
+    requireTraceExtension(path);
+    return trace::readMsFile(path, io, stats).valueOrThrow();
 }
 
 void
@@ -213,97 +218,27 @@ batchOption(const dlw::Options &opts)
     return static_cast<std::size_t>(n);
 }
 
-/**
- * Pass 0 of streaming analyze: decode the file once checking the
- * whole-trace invariants (sorted arrivals, inside the window, nonzero
- * sizes) incrementally.  True means the stream can be fed straight to
- * the engine; false sends the caller to the whole-trace path, whose
- * sort-then-validate handles disordered input exactly as before.
- * Decode failures throw, like the whole-trace reader would.
- */
-bool
-streamReadyTrace(const std::string &path,
-                 const trace::IngestOptions &io,
-                 std::size_t batch_requests, trace::IngestStats *stats)
-{
-    auto src = trace::openMsSource(path, io).valueOrThrow();
-    trace::RequestBatch batch(batch_requests);
-    Tick prev = src->start();
-    const Tick end = src->end();
-    while (src->next(batch)) {
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            const Tick at = batch.arrival(i);
-            if (batch.blocks(i) == 0 || at < prev || at >= end)
-                return false;
-            prev = at;
-        }
-    }
-    Status st = src->status();
-    if (!st.ok())
-        throw StatusError(st);
-    *stats = src->stats();
-    return true;
-}
-
 int
 cmdAnalyze(const dlw::Options &opts)
 {
     const std::string in = opts.get("in", "");
     if (in.empty())
         dlw_fatal("analyze needs --in");
-    const trace::IngestOptions io = ingestOptions(opts);
-    const std::size_t batch = batchOption(opts);
-
-    disk::DriveConfig cfg = opts.get("drive", "enterprise") ==
-                                    "nearline"
+    requireTraceExtension(in);
+    core::AnalyzeOptions ao;
+    ao.ingest = ingestOptions(opts);
+    ao.batch_requests = batchOption(opts);
+    ao.drive = opts.get("drive", "enterprise") == "nearline"
         ? disk::DriveConfig::makeNearline()
         : disk::DriveConfig::makeEnterprise();
     if (opts.get("cache", "on") == "off")
-        cfg.cache.enabled = false;
-    disk::DiskDrive drive(cfg);
-
-    // Streaming path (the default): three O(batch)-memory trips over
-    // the file — validate, service, characterize — instead of one
-    // whole-trace materialization.  Output is byte-identical.
-    if (opts.get("stream", "on") != "off" &&
-        (endsWith(in, ".csv") || endsWith(in, ".bin"))) {
-        trace::IngestStats stats;
-        if (streamReadyTrace(in, io, batch, &stats)) {
-            if (stats.dirty())
-                std::cout << "ingestion: " << stats.summary()
-                          << "\n\n";
-            // The service trip decodes as it serves, so its
-            // ingest.open/ingest.parse spans nest inside "service".
-            disk::ServiceLog log = [&] {
-                obs::ScopedSpan span("service");
-                auto service_src =
-                    trace::openMsSource(in, io).valueOrThrow();
-                return drive.service(*service_src, nullptr, batch);
-            }();
-            auto pass_src = trace::openMsSource(in, io).valueOrThrow();
-            core::DriveCharacterization c =
-                core::characterizeMs(*pass_src, log);
-            Status st = pass_src->status();
-            if (!st.ok())
-                throw StatusError(st);
-            std::cout << c.render();
-            return 0;
-        }
-    }
-
-    trace::IngestStats stats;
-    trace::MsTrace tr = readAny(in, io, &stats);
-    if (stats.dirty())
-        std::cout << "ingestion: " << stats.summary() << "\n\n";
-    tr.sortByArrival();
-    tr.validate(true);
-
-    disk::ServiceLog log = [&] {
-        obs::ScopedSpan span("service");
-        return drive.service(tr);
-    }();
-    core::DriveCharacterization c = core::characterizeMs(tr, log);
-    std::cout << c.render();
+        ao.drive.cache.enabled = false;
+    // Streaming (the default) decodes a .csv/.bin input once: the
+    // drive engine pulls it and each batch is folded into the
+    // characterization on the way; unsorted inputs fall back to the
+    // whole-trace path.  Output is byte-identical either way.
+    ao.stream = opts.get("stream", "on") != "off";
+    core::analyzeTraceFile(in, ao, std::cout);
     return 0;
 }
 
