@@ -94,6 +94,7 @@ analyzeStreamed(const std::string &path, const AnalyzeOptions &opts,
     disk::DiskDrive drive(opts.drive);
     MsTracePass trace;
     disk::ServiceLog log;
+    disk::ResponseLog responses;
     trace::IngestStats stats;
     {
         // Decode, and with it the trace pass, happens as the engine
@@ -102,14 +103,14 @@ analyzeStreamed(const std::string &path, const AnalyzeOptions &opts,
         auto file = trace::openMsSource(path, opts.ingest).valueOrThrow();
         ReadyCheckSource src(*file, trace);
         trace.begin(src);
-        log = drive.service(src, nullptr, opts.batch_requests);
+        log = drive.service(src, &responses, opts.batch_requests);
         if (!src.ready())
             return false;
         stats = file->stats();
     }
     trace.finish();
     writeIngestion(out, stats);
-    out << characterizeMs(trace, log).render();
+    out << characterizeMs(trace, log, responses).render();
     return true;
 }
 
@@ -131,11 +132,16 @@ analyzeTraceFile(const std::string &path, const AnalyzeOptions &opts,
     tr.validate(true);
 
     disk::DiskDrive drive(opts.drive);
+    disk::ResponseLog responses;
     disk::ServiceLog log = [&] {
         obs::ScopedSpan span("service");
-        return drive.service(tr);
+        trace::MsTraceSource src(tr);
+        return drive.service(src, &responses);
     }();
-    out << characterizeMs(tr, log).render();
+    MsTracePass trace;
+    trace::MsTraceSource src(tr);
+    trace.run(src);
+    out << characterizeMs(trace, log, responses).render();
 }
 
 } // namespace core

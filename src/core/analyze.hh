@@ -12,8 +12,9 @@
  * pulls it.  A trace that fails the check ends that trip at the first
  * violation, and the pipeline falls back to the whole-trace path:
  * read everything, sort, validate, service, characterize.  Both paths
- * assemble the report through the same characterizeMs, so they
- * render the same bytes.
+ * serve into a disk::ResponseLog, which keeps each request's response
+ * time and nothing else of its completion, and assemble the report
+ * through the same characterizeMs, so they render the same bytes.
  */
 
 #ifndef DLW_CORE_ANALYZE_HH

@@ -76,7 +76,8 @@ MsTracePass::fill(DriveCharacterization &c) const
 }
 
 DriveCharacterization
-characterizeMs(const MsTracePass &trace, const disk::ServiceLog &log)
+characterizeMs(const MsTracePass &trace, const disk::ServiceLog &log,
+               disk::ResponseLog &responses)
 {
     obs::ScopedSpan span("characterize");
     coreMetrics().ms_runs.add(1);
@@ -95,14 +96,12 @@ characterizeMs(const MsTracePass &trace, const disk::ServiceLog &log)
         c.mean_idle_interval = idle.meanInterval();
         c.idle_mass_1s = idle.idleMassAtLeast(kSec);
     }
-    c.mean_response_ms = log.meanResponse() / static_cast<double>(kMsec);
-    if (!log.completions.empty()) {
-        c.p95_response_ms =
-            static_cast<double>(log.responseQuantile(0.95)) /
-            static_cast<double>(kMsec);
-        c.p99_response_ms =
-            static_cast<double>(log.responseQuantile(0.99)) /
-            static_cast<double>(kMsec);
+    c.mean_response_ms = responses.mean() / static_cast<double>(kMsec);
+    if (!responses.empty()) {
+        c.p95_response_ms = static_cast<double>(responses.quantile(0.95)) /
+                            static_cast<double>(kMsec);
+        c.p99_response_ms = static_cast<double>(responses.quantile(0.99)) /
+                            static_cast<double>(kMsec);
     }
     return c;
 }
@@ -112,7 +111,8 @@ characterizeMs(trace::RequestSource &src, const disk::ServiceLog &log)
 {
     MsTracePass trace;
     trace.run(src);
-    return characterizeMs(trace, log);
+    disk::ResponseLog responses = log.responseLog();
+    return characterizeMs(trace, log, responses);
 }
 
 DriveCharacterization

@@ -108,13 +108,17 @@ class MsTracePass
 };
 
 /**
- * Complete a characterization from a finished MsTracePass and the
- * service log the disk model produced for the same stream: the
- * log-derived half (utilization, idleness, response quantiles).
- * Both analyze modes assemble their report here.
+ * Complete a characterization from a finished MsTracePass and what
+ * the disk model produced for the same stream: the service log (for
+ * utilization and idleness) and the responses (mean, p95, p99).  The
+ * log's completions are not read, so a run that served into a
+ * ResponseLog sink need not keep them.  `responses` is reordered by
+ * the quantile selection.  Both analyze modes assemble their report
+ * here.
  */
 DriveCharacterization characterizeMs(const MsTracePass &trace,
-                                     const disk::ServiceLog &log);
+                                     const disk::ServiceLog &log,
+                                     disk::ResponseLog &responses);
 
 /**
  * Characterize a drive from a streaming request source and the

@@ -1,6 +1,7 @@
 #include "disk/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -9,12 +10,22 @@ namespace dlw
 namespace disk
 {
 
+namespace
+{
+
+/** Start of an invalid segment's empty range [kNoStart, 0). */
+constexpr Lba kNoStart = ~Lba{0};
+
+} // anonymous namespace
+
 DiskCache::DiskCache(const CacheConfig &config)
     : config_(config)
 {
     if (config_.enabled) {
         dlw_assert(config_.segments > 0, "cache needs >= 1 segment");
-        segments_.resize(config_.segments);
+        start_.assign(config_.segments, kNoStart);
+        end_.assign(config_.segments, 0);
+        last_use_.assign(config_.segments, 0);
     }
 }
 
@@ -24,9 +35,21 @@ DiskCache::readHit(Lba lba, BlockCount blocks)
     if (!config_.enabled)
         return false;
     const Lba end = lba + blocks;
-    for (Segment &s : segments_) {
-        if (s.valid && lba >= s.start && end <= s.end) {
-            s.last_use = ++use_clock_;
+    // The first segment holding the whole read, from a bit mask of
+    // hits built 64 segments at a time.
+    const std::size_t n = start_.size();
+    for (std::size_t base = 0; base < n; base += 64) {
+        const std::size_t m = std::min<std::size_t>(n - base, 64);
+        std::uint64_t hits = 0;
+        for (std::size_t j = 0; j < m; ++j) {
+            const std::uint64_t hit =
+                std::uint64_t{start_[base + j] <= lba} &
+                std::uint64_t{end <= end_[base + j]};
+            hits |= hit << j;
+        }
+        if (hits != 0) {
+            last_use_[base + static_cast<std::size_t>(
+                                 std::countr_zero(hits))] = ++use_clock_;
             return true;
         }
     }
@@ -38,20 +61,19 @@ DiskCache::installReadSegment(Lba lba, BlockCount blocks)
 {
     if (!config_.enabled)
         return;
-    // Victimize the least recently used (or any invalid) segment.
-    Segment *victim = &segments_[0];
-    for (Segment &s : segments_) {
-        if (!s.valid) {
-            victim = &s;
-            break;
-        }
-        if (s.last_use < victim->last_use)
-            victim = &s;
+    // Victimize the first segment with the oldest stamp: the first
+    // invalid one (stamp 0) if any, else the first least recently
+    // used.
+    std::size_t victim = 0;
+    std::uint64_t oldest = last_use_[0];
+    for (std::size_t i = 1; i < last_use_.size(); ++i) {
+        const bool older = last_use_[i] < oldest;
+        victim = older ? i : victim;
+        oldest = older ? last_use_[i] : oldest;
     }
-    victim->start = lba;
-    victim->end = lba + blocks + config_.prefetch_blocks;
-    victim->last_use = ++use_clock_;
-    victim->valid = true;
+    start_[victim] = lba;
+    end_[victim] = lba + blocks + config_.prefetch_blocks;
+    last_use_[victim] = ++use_clock_;
 }
 
 bool
@@ -96,8 +118,9 @@ DiskCache::popDestage()
 void
 DiskCache::clear()
 {
-    for (Segment &s : segments_)
-        s.valid = false;
+    std::fill(start_.begin(), start_.end(), kNoStart);
+    std::fill(end_.begin(), end_.end(), 0);
+    std::fill(last_use_.begin(), last_use_.end(), 0);
     dirty_.clear();
     dirty_blocks_ = 0;
 }
@@ -106,9 +129,14 @@ void
 DiskCache::invalidateOverlapping(Lba lba, BlockCount blocks)
 {
     const Lba end = lba + blocks;
-    for (Segment &s : segments_) {
-        if (s.valid && lba < s.end && end > s.start)
-            s.valid = false;
+    for (std::size_t i = 0; i < start_.size(); ++i) {
+        // All ones to keep the segment, zero to drop it.
+        const std::uint64_t keep =
+            (std::uint64_t{lba < end_[i]} & std::uint64_t{end > start_[i]}) -
+            1;
+        start_[i] |= ~keep;
+        end_[i] &= keep;
+        last_use_[i] &= keep;
     }
 }
 

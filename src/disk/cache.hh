@@ -105,18 +105,20 @@ class DiskCache
     void clear();
 
   private:
-    struct Segment
-    {
-        Lba start = 0;
-        Lba end = 0;
-        std::uint64_t last_use = 0;
-        bool valid = false;
-    };
-
     void invalidateOverlapping(Lba lba, BlockCount blocks);
 
     CacheConfig config_;
-    std::vector<Segment> segments_;
+    /**
+     * The segment table as parallel arrays, so every scan runs over
+     * all segments with no data-dependent branch.  Segment i covers
+     * blocks [start_[i], end_[i]) and was last used at last_use_[i].
+     * An invalid segment is the empty range [~0, 0) with stamp 0: no
+     * request can hit or overlap it, and since valid stamps start at
+     * 1 the victim search takes it before any valid segment.
+     */
+    std::vector<Lba> start_;
+    std::vector<Lba> end_;
+    std::vector<std::uint64_t> last_use_;
     std::deque<DirtyExtent> dirty_;
     BlockCount dirty_blocks_ = 0;
     std::uint64_t use_clock_ = 0;

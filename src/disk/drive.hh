@@ -95,6 +95,54 @@ class CompletionSink
 };
 
 /**
+ * Response times in completion order: the one figure per request a
+ * characterization reads.  As a CompletionSink it keeps 8 bytes per
+ * request where ServiceLog::completions keeps a whole Completion.
+ */
+class ResponseLog final : public CompletionSink
+{
+  public:
+    void onCompletion(const Completion &c) override { add(c.response()); }
+
+    /** Append one response. */
+    void
+    add(Tick response)
+    {
+        sum_ += static_cast<double>(response);
+        ticks_.push_back(response);
+    }
+
+    /** Reserve room for n responses. */
+    void reserve(std::size_t n) { ticks_.reserve(n); }
+
+    std::size_t size() const { return ticks_.size(); }
+    bool empty() const { return ticks_.empty(); }
+
+    /**
+     * Mean response (0 when empty).  The sum is kept in completion
+     * order as responses arrive, so quantile()'s reordering leaves it
+     * unchanged.
+     */
+    double
+    mean() const
+    {
+        return ticks_.empty() ? 0.0
+                              : sum_ / static_cast<double>(ticks_.size());
+    }
+
+    /**
+     * Response at quantile q: the element at rank round(q * (n - 1))
+     * of the sorted responses, exact.  It is selected in place, so the
+     * log is reordered.
+     */
+    Tick quantile(double q);
+
+  private:
+    std::vector<Tick> ticks_;
+    double sum_ = 0.0;
+};
+
+/**
  * Everything a drive run produces.
  */
 struct ServiceLog
@@ -103,7 +151,10 @@ struct ServiceLog
     Tick window_start = 0;
     Tick window_end = 0;
 
-    /** Per-request outcomes, in completion order. */
+    /**
+     * Per-request outcomes, in completion order (empty when the run
+     * served into a CompletionSink).
+     */
     std::vector<Completion> completions;
 
     /** Merged, disjoint busy intervals of the mechanism. */
@@ -124,15 +175,23 @@ struct ServiceLog
     /** Busy fraction of the observation window. */
     double utilization() const;
 
-    /** Mean response time over all completions (0 when empty). */
+    /** A copy of the completions' responses, in completion order. */
+    ResponseLog responseLog() const;
+
+    /**
+     * Mean response time over all completions (0 when empty), summed
+     * in completion order as ResponseLog::mean sums it.
+     */
     double meanResponse() const;
 
     /**
-     * Response time at a quantile: the element at rank
-     * round(q * (n - 1)) of the sorted responses, exact, found by
-     * selection on a copy in O(n) rather than a full sort.
+     * Response time at a quantile, as ResponseLog::quantile selects it
+     * from a copy of the responses.
      */
-    Tick responseQuantile(double q) const;
+    Tick responseQuantile(double q) const
+    {
+        return responseLog().quantile(q);
+    }
 
     /**
      * Idle gaps between busy intervals inside the window, in ticks.

@@ -23,6 +23,7 @@ DiskGeometry::DiskGeometry(std::vector<Zone> zones, std::uint32_t rpm)
         dlw_assert(z.end > z.start, "empty zone");
         dlw_assert(z.sectors_per_track > 0, "zone with zero track size");
         zone_first_cyl_.push_back(cylinders_);
+        zone_end_.push_back(z.end);
         cylinders_ += z.tracks();
         expect = z.end;
     }
@@ -84,27 +85,25 @@ DiskGeometry::makeNearline(std::uint32_t capacity_gib)
     return DiskGeometry(std::move(zones), 7200);
 }
 
-const Zone &
-DiskGeometry::zoneOf(Lba lba) const
+std::size_t
+DiskGeometry::zoneIndex(Lba lba) const
 {
-    for (const Zone &z : zones_) {
-        if (lba >= z.start && lba < z.end)
-            return z;
-    }
-    dlw_fatal("LBA ", lba, " beyond drive capacity ", capacity_);
+    // Zones are contiguous from LBA 0, so the zone holding lba is the
+    // number of zones ending at or below it.
+    std::size_t i = 0;
+    for (const Lba end : zone_end_)
+        i += lba >= end;
+    if (i == zone_end_.size())
+        dlw_fatal("LBA ", lba, " beyond drive capacity ", capacity_);
+    return i;
 }
 
 std::uint64_t
 DiskGeometry::cylinderOf(Lba lba) const
 {
-    for (std::size_t i = 0; i < zones_.size(); ++i) {
-        const Zone &z = zones_[i];
-        if (lba >= z.start && lba < z.end) {
-            return zone_first_cyl_[i] +
-                   (lba - z.start) / z.sectors_per_track;
-        }
-    }
-    dlw_fatal("LBA ", lba, " beyond drive capacity ", capacity_);
+    const std::size_t i = zoneIndex(lba);
+    const Zone &z = zones_[i];
+    return zone_first_cyl_[i] + (lba - z.start) / z.sectors_per_track;
 }
 
 double
@@ -117,17 +116,21 @@ DiskGeometry::angleOf(Lba lba) const
 }
 
 Tick
-DiskGeometry::transferTime(Lba lba, BlockCount blocks) const
+DiskGeometry::transferTime(std::size_t zone, Lba lba,
+                           BlockCount blocks) const
 {
     dlw_assert(blocks > 0, "transfer of zero blocks");
     dlw_assert(lba + blocks <= capacity_, "transfer beyond capacity");
+    dlw_assert(zone < zones_.size() && lba >= zones_[zone].start &&
+                   lba < zones_[zone].end,
+               "transfer located in the wrong zone");
 
     // Accumulate per-zone (bandwidth changes at zone boundaries).
     double time = 0.0;
     Lba at = lba;
     BlockCount left = blocks;
     while (left > 0) {
-        const Zone &z = zoneOf(at);
+        const Zone &z = zones_[zone++];
         const Lba in_zone = std::min<Lba>(left, z.end - at);
         // One revolution moves sectors_per_track blocks under the head.
         time += static_cast<double>(in_zone) /

@@ -12,6 +12,7 @@
 #ifndef DLW_DISK_GEOMETRY_HH
 #define DLW_DISK_GEOMETRY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -88,8 +89,21 @@ class DiskGeometry
     /** Zone table. */
     const std::vector<Zone> &zones() const { return zones_; }
 
+    /**
+     * Index in zones() of the zone containing an LBA (fatal when out
+     * of range), found by counting the zone ends at or below it, with
+     * no data-dependent branch.
+     */
+    std::size_t zoneIndex(Lba lba) const;
+
     /** Zone containing an LBA (fatal when out of range). */
-    const Zone &zoneOf(Lba lba) const;
+    const Zone &zoneOf(Lba lba) const { return zones_[zoneIndex(lba)]; }
+
+    /** First cylinder of zone i. */
+    std::uint64_t zoneFirstCylinder(std::size_t i) const
+    {
+        return zone_first_cyl_[i];
+    }
 
     /** Cylinder index of an LBA. */
     std::uint64_t cylinderOf(Lba lba) const;
@@ -102,7 +116,17 @@ class DiskGeometry
      * the given LBA (includes track-to-track rotation but not seek
      * or initial rotational latency).
      */
-    Tick transferTime(Lba lba, BlockCount blocks) const;
+    Tick transferTime(Lba lba, BlockCount blocks) const
+    {
+        return transferTime(zoneIndex(lba), lba, blocks);
+    }
+
+    /**
+     * transferTime() for an LBA already known to lie in zone `zone`,
+     * so a caller that has located it need not look the zone up
+     * again.
+     */
+    Tick transferTime(std::size_t zone, Lba lba, BlockCount blocks) const;
 
     /**
      * Sustained sequential bandwidth at an LBA, in bytes/second.
@@ -120,6 +144,8 @@ class DiskGeometry
     std::uint64_t cylinders_;
     /** First cylinder index of each zone (parallel to zones_). */
     std::vector<std::uint64_t> zone_first_cyl_;
+    /** End LBA of each zone (parallel to zones_), for zoneIndex. */
+    std::vector<Lba> zone_end_;
 };
 
 } // namespace disk

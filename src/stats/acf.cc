@@ -9,21 +9,35 @@ namespace dlw
 namespace stats
 {
 
+namespace
+{
+
+/** Lags computed together by autocorrelation(). */
+constexpr std::size_t kLagBlock = 32;
+
+} // anonymous namespace
+
 std::vector<double>
 autocorrelation(const std::vector<double> &xs, std::size_t max_lag)
 {
     dlw_assert(xs.size() >= 2, "autocorrelation needs >= 2 samples");
     max_lag = std::min(max_lag, xs.size() - 1);
 
-    const double n = static_cast<double>(xs.size());
+    const std::size_t len = xs.size();
+    const double n = static_cast<double>(len);
     double mean = 0.0;
     for (double x : xs)
         mean += x;
     mean /= n;
 
+    // Centre once.  The zero tail lets a partial last block of lags
+    // read past the series; the products it feeds are discarded.
+    std::vector<double> d(len + kLagBlock - 1, 0.0);
     double c0 = 0.0;
-    for (double x : xs)
-        c0 += (x - mean) * (x - mean);
+    for (std::size_t t = 0; t < len; ++t) {
+        d[t] = xs[t] - mean;
+        c0 += d[t] * d[t];
+    }
     c0 /= n;
 
     std::vector<double> out(max_lag + 1, 0.0);
@@ -31,12 +45,27 @@ autocorrelation(const std::vector<double> &xs, std::size_t max_lag)
         return out; // constant series: no correlation structure
 
     out[0] = 1.0;
-    for (std::size_t k = 1; k <= max_lag; ++k) {
-        double ck = 0.0;
-        for (std::size_t t = 0; t + k < xs.size(); ++t)
-            ck += (xs[t] - mean) * (xs[t + k] - mean);
-        ck /= n;
-        out[k] = ck / c0;
+    // A block of lags at a time, one accumulator per lag, so the inner
+    // loop runs across lags and vectorizes.  Each lag still adds its
+    // products d[t] * d[t + k] in ascending t, the order of a serial
+    // sum, so every value is bit-identical to one.
+    for (std::size_t k0 = 1; k0 <= max_lag; k0 += kLagBlock) {
+        const std::size_t lags = std::min(kLagBlock, max_lag + 1 - k0);
+        double acc[kLagBlock] = {};
+        // Up to `full`, every lag of the block has a partner.
+        const std::size_t full = len - (k0 + lags - 1);
+        for (std::size_t t = 0; t < full; ++t) {
+            const double dt = d[t];
+            const double *dk = &d[t + k0];
+            for (std::size_t j = 0; j < kLagBlock; ++j)
+                acc[j] += dt * dk[j];
+        }
+        // Past it, the shorter lags run on alone.
+        for (std::size_t j = 0; j < lags; ++j) {
+            for (std::size_t t = full; t + k0 + j < len; ++t)
+                acc[j] += d[t] * d[t + k0 + j];
+            out[k0 + j] = acc[j] / n / c0;
+        }
     }
     return out;
 }

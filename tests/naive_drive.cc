@@ -1,10 +1,13 @@
 /**
  * @file
  * The pre-linear drive engine and scheduler, verbatim apart from
- * names, as a test-only oracle (see naive_drive.hh).
+ * names, as a test-only oracle (see naive_drive.hh).  Inside
+ * namespace naive, DiskCache, DiskModel and cylinderOf name the
+ * oracles of naive_disk.hh, not the production classes.
  */
 
 #include "naive_drive.hh"
+#include "naive_disk.hh"
 
 #include <algorithm>
 #include <limits>
@@ -57,7 +60,7 @@ NaiveScheduler::pick(const std::vector<QueuedRequest> &queue,
         std::uint64_t best_dist = std::numeric_limits<std::uint64_t>::max();
         for (std::size_t i = 0; i < queue.size(); ++i) {
             const std::uint64_t cyl =
-                geometry.cylinderOf(queue[i].req.lba);
+                cylinderOf(geometry, queue[i].req.lba);
             const std::uint64_t d = cyl > head_cylinder
                 ? cyl - head_cylinder
                 : head_cylinder - cyl;
@@ -76,7 +79,7 @@ NaiveScheduler::pick(const std::vector<QueuedRequest> &queue,
         std::uint64_t best_dist = std::numeric_limits<std::uint64_t>::max();
         for (std::size_t i = 0; i < queue.size(); ++i) {
             const std::uint64_t cyl =
-                geometry.cylinderOf(queue[i].req.lba);
+                cylinderOf(geometry, queue[i].req.lba);
             const bool ahead = sweep_up_
                 ? cyl >= head_cylinder
                 : cyl <= head_cylinder;

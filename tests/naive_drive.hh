@@ -5,7 +5,9 @@
  *
  * This is the engine as it stood with a `std::vector` queue popped
  * by `erase`, a general `sim::EventQueue` of `std::function` events,
- * and the scheduler's linear scans over that vector.  It is O(queue)
+ * and the scheduler's linear scans over that vector, running on the
+ * naive cache and mechanical model of naive_disk.hh, so it shares no
+ * service code with the production engine.  It is O(queue)
  * per dispatch and therefore quadratic on a saturated drive, but its
  * behaviour is the reference: DriveOracle tests require the
  * production engine to reproduce its completions and counters

@@ -5,10 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "common/rng.hh"
+#include "naive_acf.hh"
 #include "stats/acf.hh"
+#include "synth/bmodel.hh"
+#include "synth/diurnal.hh"
 
 namespace dlw
 {
@@ -139,6 +145,113 @@ TEST(DominantPeriodDeathTest, BadRanges)
     EXPECT_DEATH(dominantPeriod(xs, 1, 10), ">= 2");
     EXPECT_DEATH(dominantPeriod(xs, 10, 5), "inverted");
     EXPECT_DEATH(dominantPeriod(xs, 2, 60), "too short");
+}
+
+/** Same length and the same bits in every entry. */
+void
+expectBitIdentical(const std::vector<double> &got,
+                   const std::vector<double> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                  std::bit_cast<std::uint64_t>(want[k]))
+            << "lag " << k << ": " << got[k] << " vs " << want[k];
+    }
+}
+
+void
+expectAcfMatchesOracle(const std::vector<double> &xs, std::size_t max_lag)
+{
+    SCOPED_TRACE("n " + std::to_string(xs.size()) + " max_lag " +
+                 std::to_string(max_lag));
+    expectBitIdentical(autocorrelation(xs, max_lag),
+                       naive::autocorrelation(xs, max_lag));
+}
+
+TEST(AcfOracle, EveryLengthAndLagCount)
+{
+    // Lengths 2..300 and lag counts on both sides of every block
+    // boundary, including clamped ones past the series.
+    Rng rng(31);
+    for (std::size_t n = 2; n <= 300; ++n) {
+        std::vector<double> xs;
+        double ar = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            ar = 0.7 * ar + rng.normal(0.0, 1.0);
+            xs.push_back(100.0 + ar + (i % 7 == 0 ? 5.0 : 0.0));
+        }
+        for (std::size_t lag : {std::size_t{0}, std::size_t{1}, n / 4,
+                                std::size_t{31}, std::size_t{32},
+                                std::size_t{33}, std::size_t{64},
+                                std::size_t{65}, std::size_t{200}, n - 1,
+                                n, n + 40}) {
+            expectAcfMatchesOracle(xs, lag);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+}
+
+TEST(AcfOracle, ConstantAndTwoValueSeries)
+{
+    expectAcfMatchesOracle(std::vector<double>(50, 3.25), 49);
+    expectAcfMatchesOracle(std::vector<double>(2, 0.0), 5);
+    expectAcfMatchesOracle({1.0, 2.0}, 1);
+    std::vector<double> alt;
+    for (int i = 0; i < 101; ++i)
+        alt.push_back(i % 2 ? -1.0 : 1.0);
+    expectAcfMatchesOracle(alt, 100);
+}
+
+TEST(AcfOracle, LongBModelCountSeries)
+{
+    // The shape burstiness analysis feeds it: ~96k 10 ms bins of
+    // bursty counts, 200 lags.
+    Rng rng(32);
+    const synth::BModel bm(0.72, 17);
+    const std::vector<std::uint64_t> counts = bm.counts(rng, 2000000);
+    const std::vector<double> xs(counts.begin(), counts.begin() + 96000);
+    expectAcfMatchesOracle(xs, 200);
+    expectAcfMatchesOracle(xs, 97);
+}
+
+TEST(AcfOracle, DominantPeriodOnDiurnalFixtures)
+{
+    // Hourly rates of the enterprise diurnal/weekly shape over eight
+    // weeks, plain and with noise, and the sinusoid fixtures above.
+    const synth::RateFunction rate = synth::DiurnalShape{}.build();
+    Rng rng(33);
+    std::vector<double> clean;
+    std::vector<double> noisy;
+    for (int h = 0; h < 8 * 168; ++h) {
+        const double r = synth::meanRateOver(rate, h * kHour, kHour);
+        clean.push_back(r);
+        noisy.push_back(r + rng.normal(0.0, 0.05));
+    }
+    std::vector<double> sine;
+    for (int i = 0; i < 1000; ++i) {
+        sine.push_back(10.0 + 5.0 * std::sin(2.0 * M_PI * i / 24.0) +
+                       rng.normal(0.0, 1.0));
+    }
+    struct Case
+    {
+        const std::vector<double> *xs;
+        std::size_t min_lag;
+        std::size_t max_lag;
+    };
+    for (const Case &c : {Case{&clean, 2, 100}, Case{&clean, 48, 400},
+                          Case{&noisy, 2, 100}, Case{&noisy, 48, 400},
+                          Case{&sine, 2, 100}}) {
+        const Periodicity got = dominantPeriod(*c.xs, c.min_lag, c.max_lag);
+        const Periodicity want =
+            naive::dominantPeriod(*c.xs, c.min_lag, c.max_lag);
+        EXPECT_EQ(got.period, want.period);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.strength),
+                  std::bit_cast<std::uint64_t>(want.strength));
+    }
+    EXPECT_EQ(dominantPeriod(clean, 2, 100).period, 24u);
+    EXPECT_EQ(dominantPeriod(clean, 48, 400).period, 168u);
 }
 
 } // anonymous namespace

@@ -211,6 +211,38 @@ TEST(Analyze, ZeroLengthRecordsPartwayMatchUnderEveryPolicy)
         expectStreamedEqualsWholeTrace(path, p);
 }
 
+TEST(Analyze, AllCacheHitTraceStreamedEqualsWholeTrace)
+{
+    // Small writes the write buffer absorbs whole: every request is a
+    // cache hit with the same response, so the quantiles sit inside
+    // one long tie and the busy time is all destage.
+    trace::MsTrace tr("hits", 0, 100 * kSec);
+    Rng rng(6);
+    for (int i = 0; i < 1000; ++i) {
+        trace::Request r;
+        r.arrival = i * 100 * kMsec + rng.uniformInt(0, 50) * kMsec;
+        r.lba = i % 10 == 9 ? tr.at(i - 1).lba + 8
+                            : static_cast<Lba>(rng.uniformInt(0, 1 << 24));
+        r.blocks = 8;
+        r.op = trace::Op::Write;
+        tr.append(r);
+    }
+    {
+        disk::ResponseLog responses;
+        trace::MsTraceSource src(tr);
+        disk::DiskDrive(AnalyzeOptions().drive).service(src, &responses);
+        ASSERT_EQ(responses.size(), tr.size());
+        ASSERT_EQ(responses.quantile(0.0), responses.quantile(1.0));
+    }
+    const std::string path = writeTemp(join(csvLines(tr)), ".csv");
+    const Outcome off = analyze(path, false, 4096);
+    EXPECT_TRUE(off.error.empty()) << off.error;
+    EXPECT_NE(off.out.find("p99 response (ms)"), std::string::npos);
+    const Outcome one = analyze(path, true, 1);
+    EXPECT_EQ(one.out, off.out);
+    EXPECT_EQ(one.error, off.error);
+}
+
 } // anonymous namespace
 } // namespace core
 } // namespace dlw

@@ -46,6 +46,26 @@ TEST(Characterize, MsScalePopulatesFields)
     EXPECT_FALSE(c.util_hour.has_value());
 }
 
+TEST(Characterize, ResponseLogSinkRendersTheSameReport)
+{
+    // Served into a ResponseLog, with no completions kept, the report
+    // must match the one built from a full ServiceLog.
+    Rng rng(3);
+    synth::Workload w = synth::Workload::makeOltp(1 << 22, 300.0);
+    trace::MsTrace tr = w.generate(rng, "drv-r", 0, 30 * kSec);
+    disk::DiskDrive drive(disk::DriveConfig::makeEnterprise());
+    const std::string want = characterizeMs(tr, drive.service(tr)).render();
+
+    disk::ResponseLog responses;
+    trace::MsTraceSource served(tr);
+    const disk::ServiceLog log = drive.service(served, &responses);
+    ASSERT_TRUE(log.completions.empty());
+    MsTracePass pass;
+    trace::MsTraceSource src(tr);
+    pass.run(src);
+    EXPECT_EQ(characterizeMs(pass, log, responses).render(), want);
+}
+
 TEST(Characterize, HourAndLifetimeScalesExtend)
 {
     synth::FamilyConfig cfg;

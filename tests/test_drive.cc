@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -280,6 +281,90 @@ TEST(Drive, ResponseQuantileMatchesSortedReference)
                 << "n=" << n << " q=" << q;
         }
     }
+}
+
+TEST(Drive, ResponseLogMatchesServiceLog)
+{
+    // The response log's mean must be the serial sum over completions
+    // ServiceLog::meanResponse always took, and its in-place
+    // selections must return the sorted reference's elements in any
+    // order of quantiles, across n = 1, ties and all-equal logs.
+    Rng rng(9);
+    for (const std::size_t n : {1u, 2u, 3u, 10u, 101u, 1000u, 4097u}) {
+        for (const Tick spread : {Tick{0}, Tick{7}, Tick{1} << 40}) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " spread=" + std::to_string(spread));
+            ServiceLog log;
+            ResponseLog responses;
+            for (std::size_t i = 0; i < n; ++i) {
+                Completion c;
+                c.index = i;
+                c.arrival = rng.uniformInt(0, 1000);
+                c.finish = c.arrival + rng.uniformInt(0, spread) * kUsec;
+                log.completions.push_back(c);
+                responses.onCompletion(c);
+            }
+            double sum = 0.0;
+            std::vector<Tick> sorted;
+            for (const Completion &c : log.completions) {
+                sum += static_cast<double>(c.response());
+                sorted.push_back(c.response());
+            }
+            std::sort(sorted.begin(), sorted.end());
+            const double mean = sum / static_cast<double>(n);
+            ASSERT_EQ(responses.size(), n);
+            EXPECT_EQ(responses.mean(), mean);
+            EXPECT_EQ(log.meanResponse(), mean);
+
+            auto rank = [n](double q) {
+                return std::min(static_cast<std::size_t>(
+                                    q * static_cast<double>(n - 1) + 0.5),
+                                n - 1);
+            };
+            std::vector<double> qs = {0.95, 0.99, 0.0, 1.0, 0.5,
+                                      0.99, 0.95, 1.0, 0.25, 0.0};
+            for (int k = 0; k < 20; ++k)
+                qs.push_back(rng.uniform());
+            for (const double q : qs) {
+                ASSERT_EQ(responses.quantile(q), sorted[rank(q)])
+                    << "q=" << q;
+                ASSERT_EQ(log.responseQuantile(q), sorted[rank(q)])
+                    << "q=" << q;
+            }
+            // Selection reorders, but the mean is the arrival-order sum.
+            EXPECT_EQ(responses.mean(), mean);
+            // A response appended after a selection is selected too.
+            responses.add(sorted.back() + 1);
+            EXPECT_EQ(responses.quantile(1.0), sorted.back() + 1);
+            EXPECT_EQ(responses.quantile(0.0), sorted.front());
+        }
+    }
+}
+
+TEST(Drive, ResponseLogSinkSeesEveryCompletion)
+{
+    Rng rng(10);
+    synth::Workload w = synth::Workload::makeOltp(90000, 150.0);
+    trace::MsTrace tr = w.generate(rng, "t", 0, 20 * kSec);
+    DiskDrive drive(testConfig(true));
+    const ServiceLog whole = drive.service(tr);
+    ResponseLog responses;
+    trace::MsTraceSource src(tr);
+    const ServiceLog streamed = drive.service(src, &responses, 7);
+    EXPECT_TRUE(streamed.completions.empty());
+    ASSERT_EQ(responses.size(), whole.completions.size());
+    EXPECT_EQ(responses.mean(), whole.meanResponse());
+    for (const double q : {0.0, 0.5, 0.95, 0.99, 1.0})
+        EXPECT_EQ(responses.quantile(q), whole.responseQuantile(q));
+}
+
+TEST(DriveDeathTest, ResponseLogQuantileBounds)
+{
+    ResponseLog empty;
+    EXPECT_DEATH(empty.quantile(0.5), "quantile of empty log");
+    ResponseLog one;
+    one.add(5);
+    EXPECT_DEATH(one.quantile(1.5), "quantile out of range");
 }
 
 TEST(Drive, EmptyTraceProducesEmptyLog)
