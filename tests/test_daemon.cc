@@ -1480,6 +1480,45 @@ TEST(ServerIntegration, CorruptStreamGetsErrorResponse)
     EXPECT_NE(resp.find("DLWR1 error"), std::string::npos) << resp;
 }
 
+/**
+ * A well-formed stream whose record `bad` arrives at `bad_at`: the
+ * decoder accepts it, so the live fold is what refuses it.
+ */
+std::string
+csvTraceArrivingAt(std::size_t n, std::size_t bad, std::uint64_t bad_at)
+{
+    std::ostringstream os;
+    os << "# dlw-ms-v1,drv-a,0," << (n + 1) * 1000000ull << "\n";
+    os << "arrival_ns,lba,blocks,op\n";
+    for (std::size_t i = 0; i < n; ++i) {
+        os << (i == bad ? bad_at : i * 1000000ull) << ','
+           << (i * 64) % 4096 << ',' << 8 << ",R\n";
+    }
+    return os.str();
+}
+
+TEST(ServerIntegration, FoldRefusalGetsItsTextOnTheErrorLine)
+{
+    // Offset 5000 lies past the first 4096-request batch, so the
+    // line carries the global stream offset, not the batch index.
+    ServerFixture f(daemon::ServerConfig{});
+    const auto refusal = [&](const std::string &payload) {
+        TestClient c(f.port());
+        EXPECT_TRUE(c.connected());
+        c.send("DLWS1 csv\n");
+        c.recvLine();
+        c.send(payload);
+        c.halfClose();
+        return c.recvLine();
+    };
+    EXPECT_EQ(refusal(csvTraceArrivingAt(6000, 5000, 4990000000ull)),
+              "DLWR1 error out-of-order arrival at stream offset 5000 "
+              "(4990000000 after 4999000000)");
+    EXPECT_EQ(refusal(csvTraceArrivingAt(6000, 5999, 6001000000ull)),
+              "DLWR1 error arrival outside the observation window at "
+              "stream offset 5999");
+}
+
 TEST(ServerIntegration, ShedsPastConnectionBudget)
 {
     obs::ScopedEnable metrics;
