@@ -146,42 +146,66 @@ Rng::geometric(double p)
 std::int64_t
 Rng::zipf(std::int64_t n, double s)
 {
-    dlw_assert(n > 0, "zipf population must be positive");
-    if (n == 1)
+    return ZipfSampler(n, s).draw(*this);
+}
+
+namespace
+{
+
+// Rejection-inversion (Hormann & Derflinger).  H(x) is an integrable
+// upper envelope of the zipf pmf over ranks 1..n.
+
+double
+zipfH(double s, double x)
+{
+    return std::pow(x, -s);
+}
+
+double
+zipfBigH(double s, double x)
+{
+    if (s == 1.0)
+        return std::log(x);
+    return (std::pow(x, 1.0 - s) - 1.0) / (1.0 - s);
+}
+
+double
+zipfBigHinv(double s, double y)
+{
+    if (s == 1.0)
+        return std::exp(y);
+    return std::pow(1.0 + y * (1.0 - s), 1.0 / (1.0 - s));
+}
+
+} // anonymous namespace
+
+ZipfSampler::ZipfSampler(std::int64_t n, double s) : n_(n), s_(s)
+{
+    if (n > 1 && s > 0.0) {
+        h_x1_ = zipfBigH(s, 1.5) - zipfH(s, 1.0);
+        big_h_n_ = zipfBigH(s, static_cast<double>(n) + 0.5);
+    }
+}
+
+std::int64_t
+ZipfSampler::draw(Rng &rng) const
+{
+    dlw_assert(n_ > 0, "zipf population must be positive");
+    if (n_ == 1)
         return 0;
-    if (s <= 0.0)
-        return uniformInt(0, n - 1);
-
-    // Rejection-inversion (Hormann & Derflinger).  H(x) is an
-    // integrable upper envelope of the zipf pmf over ranks 1..n.
-    auto h = [s](double x) {
-        return std::pow(x, -s);
-    };
-    auto bigH = [s](double x) {
-        if (s == 1.0)
-            return std::log(x);
-        return (std::pow(x, 1.0 - s) - 1.0) / (1.0 - s);
-    };
-    auto bigHinv = [s](double y) {
-        if (s == 1.0)
-            return std::exp(y);
-        return std::pow(1.0 + y * (1.0 - s), 1.0 / (1.0 - s));
-    };
-
-    const double nd = static_cast<double>(n);
-    const double h_x1 = bigH(1.5) - h(1.0);
-    const double big_h_n = bigH(nd + 0.5);
+    if (s_ <= 0.0)
+        return rng.uniformInt(0, n_ - 1);
 
     for (int attempt = 0; attempt < 10000; ++attempt) {
-        double u = h_x1 + uniform() * (big_h_n - h_x1);
-        double x = bigHinv(u);
+        double u = h_x1_ + rng.uniform() * (big_h_n_ - h_x1_);
+        double x = zipfBigHinv(s_, u);
         std::int64_t k = static_cast<std::int64_t>(x + 0.5);
         if (k < 1)
             k = 1;
-        if (k > n)
-            k = n;
+        if (k > n_)
+            k = n_;
         double kd = static_cast<double>(k);
-        if (kd - x <= 0.5 || u >= bigH(kd + 0.5) - h(kd))
+        if (kd - x <= 0.5 || u >= zipfBigH(s_, kd + 0.5) - zipfH(s_, kd))
             return k - 1;
     }
     dlw_panic("zipf rejection sampling failed to converge");

@@ -112,6 +112,8 @@ class Rng
      * @param n Population size.
      * @param s Skew exponent (0 = uniform; ~1 = classic Zipf).
      * @return A rank in [0, n) with P(k) proportional to 1/(k+1)^s.
+     *
+     * Sets up a ZipfSampler per call; hold one to draw repeatedly.
      */
     std::int64_t zipf(std::int64_t n, double s);
 
@@ -130,6 +132,30 @@ class Rng
     std::mt19937_64 engine_;
     /** Seed the engine was last (re)seeded with; keys fork(stream). */
     std::uint64_t seed_;
+};
+
+/**
+ * Zipf sampler for one (n, s): Rng::zipf with the rejection envelope's
+ * constants computed once, not on every draw.  Draws are identical to
+ * Rng::zipf(n, s) on the same Rng, double for double.
+ */
+class ZipfSampler
+{
+  public:
+    /**
+     * @param n Population size (> 0, checked at each draw).
+     * @param s Skew exponent (0 = uniform; ~1 = classic Zipf).
+     */
+    ZipfSampler(std::int64_t n, double s);
+
+    /** A rank in [0, n) with P(k) proportional to 1/(k+1)^s. */
+    std::int64_t draw(Rng &rng) const;
+
+  private:
+    std::int64_t n_;
+    double s_;
+    double h_x1_ = 0.0;
+    double big_h_n_ = 0.0;
 };
 
 } // namespace dlw

@@ -5,6 +5,7 @@
 #include "common/strutil.hh"
 #include "core/characterize.hh"
 #include "obs/span.hh"
+#include "trace/ready.hh"
 #include "trace/source.hh"
 #include "trace/stream.hh"
 
@@ -28,8 +29,7 @@ class ReadyCheckSource final : public trace::RequestSource
 {
   public:
     ReadyCheckSource(trace::RequestSource &inner, MsTracePass &pass)
-        : inner_(inner), pass_(pass), prev_(inner.start()),
-          end_(inner.end())
+        : inner_(inner), pass_(pass), checker_(inner.start(), inner.end())
     {
         setTag(inner.tag());
     }
@@ -50,14 +50,10 @@ class ReadyCheckSource final : public trace::RequestSource
     {
         if (!ready_ || !inner_.next(batch))
             return false;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            const Tick at = batch.arrival(i);
-            if (batch.blocks(i) == 0 || at < prev_ || at >= end_) {
-                ready_ = false;
-                batch.clear();
-                return false;
-            }
-            prev_ = at;
+        if (!checker_.check(batch).ok()) {
+            ready_ = false;
+            batch.clear();
+            return false;
         }
         obs::ScopedSpan span("trace-pass");
         pass_.observe(batch);
@@ -70,8 +66,7 @@ class ReadyCheckSource final : public trace::RequestSource
   private:
     trace::RequestSource &inner_;
     MsTracePass &pass_;
-    Tick prev_;
-    Tick end_;
+    trace::ReadyChecker checker_;
     bool ready_ = true;
 };
 

@@ -35,10 +35,34 @@ class MetaSource final : public trace::RequestSource
     trace::MsStreamHeader m_;
 };
 
+/**
+ * observe()'s wording of the readiness failure `v` in `batch`, after
+ * `n` requests were folded and with `prev` the last accepted arrival.
+ */
+Status
+refusal(const trace::RequestBatch &batch, const trace::ReadyVerdict &v,
+        std::uint64_t n, Tick prev)
+{
+    const std::uint64_t offset = n + v.index;
+    std::ostringstream os;
+    if (v.fault == trace::ReadyFault::kZeroBlocks) {
+        os << "zero-length request at stream offset " << offset;
+    } else if (v.fault == trace::ReadyFault::kOutOfOrder) {
+        os << "out-of-order arrival at stream offset " << offset << " ("
+           << batch.arrival(v.index) << " after " << prev << ")";
+    } else {
+        os << "arrival outside the observation window at stream"
+              " offset "
+           << offset;
+    }
+    return Status::invalidArgument(os.str());
+}
+
 } // anonymous namespace
 
 LiveCharacterization::LiveCharacterization(trace::MsStreamHeader meta)
-    : meta_(std::move(meta)), prev_(meta_.start)
+    : meta_(std::move(meta)),
+      ready_(meta_.start, meta_.start + meta_.duration)
 {
     MetaSource src(meta_);
     burstiness_.begin(src);
@@ -49,25 +73,9 @@ LiveCharacterization::LiveCharacterization(trace::MsStreamHeader meta)
 Status
 LiveCharacterization::observe(const trace::RequestBatch &batch)
 {
-    const Tick end = meta_.start + meta_.duration;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        const Tick at = batch.arrival(i);
-        std::ostringstream os;
-        if (batch.blocks(i) == 0) {
-            os << "zero-length request at stream offset " << n_ + i;
-        } else if (at < prev_) {
-            os << "out-of-order arrival at stream offset " << n_ + i
-               << " (" << at << " after " << prev_ << ")";
-        } else if (at >= end) {
-            os << "arrival outside the observation window at stream"
-                  " offset "
-               << n_ + i;
-        } else {
-            prev_ = at;
-            continue;
-        }
-        return Status::invalidArgument(os.str());
-    }
+    const trace::ReadyVerdict v = ready_.check(batch);
+    if (!v.ok())
+        return refusal(batch, v, n_, ready_.prev());
     burstiness_.observe(batch);
     rwmix_.observe(batch);
     totals_.observe(batch);
@@ -112,7 +120,7 @@ LiveCharacterization::saveState(BinEnc &enc) const
     rwmix_.saveState(enc);
     totals_.saveState(enc);
     enc.u64(n_);
-    enc.i64(prev_);
+    enc.i64(ready_.prev());
 }
 
 std::unique_ptr<LiveCharacterization>
@@ -129,7 +137,7 @@ LiveCharacterization::restore(BinDec &dec)
         !live->rwmix_.loadState(dec) || !live->totals_.loadState(dec))
         return nullptr;
     live->n_ = dec.u64();
-    live->prev_ = dec.i64();
+    live->ready_.setPrev(dec.i64());
     if (!dec.ok())
         return nullptr;
     return live;

@@ -33,6 +33,7 @@
 #include "core/pass.hh"
 #include "core/rwmix.hh"
 #include "trace/batch.hh"
+#include "trace/ready.hh"
 #include "trace/stream.hh"
 
 namespace dlw
@@ -110,8 +111,8 @@ class LiveCharacterization
     BurstinessAccumulator burstiness_;
     RwMixAccumulator rwmix_;
     TraceTotalsAccumulator totals_;
+    trace::ReadyChecker ready_;
     std::uint64_t n_ = 0;
-    Tick prev_ = 0;
     bool finished_ = false;
 };
 

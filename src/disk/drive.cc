@@ -4,6 +4,7 @@
 #include <array>
 
 #include "common/logging.hh"
+#include "trace/ready.hh"
 
 namespace dlw
 {
@@ -198,11 +199,11 @@ class Engine
           cache_(config.cache),
           sched_(config.sched),
           cursor_(src, batch_requests),
-          sink_(sink)
+          sink_(sink),
+          ready_(src.start(), src.end())
     {
         log_.window_start = src.start();
         log_.window_end = src.end();
-        prev_arrival_ = log_.window_start;
     }
 
     ServiceLog
@@ -286,16 +287,16 @@ class Engine
         // Capture the tag with the request: the cursor may cross a
         // batch boundary before this request reaches the queue.
         pending_tag_ = cursor_.tag();
-        // Incremental form of MsTrace::validate(): the stream never
-        // exists as a whole, so the invariants are checked as it is
-        // consumed.
-        dlw_assert(pending_.blocks > 0, "request with zero blocks");
-        dlw_assert(pending_.arrival >= prev_arrival_,
+        // The stream never exists as a whole, so MsTrace::validate()'s
+        // checker runs as it is consumed.
+        const trace::ReadyFault fault =
+            ready_.check(pending_.arrival, pending_.blocks);
+        dlw_assert(fault != trace::ReadyFault::kZeroBlocks,
+                   "request with zero blocks");
+        dlw_assert(fault != trace::ReadyFault::kOutOfOrder,
                    "arrivals not sorted");
-        dlw_assert(pending_.arrival >= log_.window_start &&
-                       pending_.arrival < log_.window_end,
+        dlw_assert(fault != trace::ReadyFault::kOutsideWindow,
                    "arrival outside observation window");
-        prev_arrival_ = pending_.arrival;
     }
 
     void
@@ -487,6 +488,7 @@ class Engine
     Scheduler sched_;
     BatchCursor cursor_;
     CompletionSink *sink_;
+    trace::ReadyChecker ready_;
 
     std::array<EventSlot, kSlots> slots_{};
     Tick now_ = 0;
@@ -496,7 +498,6 @@ class Engine
     qos::TagId pending_tag_;
     bool has_pending_ = false;
     std::size_t next_index_ = 0;
-    Tick prev_arrival_ = 0;
     std::uint64_t head_cylinder_ = 0;
     bool busy_ = false;
     /** The operation in flight is a destage, not a foreground access. */

@@ -40,7 +40,8 @@ UniformSpatial::nextLba(Rng &rng, BlockCount blocks)
 
 ZipfHotspot::ZipfHotspot(Lba capacity, std::size_t extents,
                          double skew, std::uint64_t perm_seed)
-    : capacity_(capacity), extents_(extents), skew_(skew)
+    : capacity_(capacity), extents_(extents),
+      zipf_(static_cast<std::int64_t>(extents), skew)
 {
     dlw_assert(capacity > 0, "capacity must be positive");
     dlw_assert(extents >= 2, "need at least two extents");
@@ -61,8 +62,7 @@ ZipfHotspot::ZipfHotspot(Lba capacity, std::size_t extents,
 Lba
 ZipfHotspot::nextLba(Rng &rng, BlockCount blocks)
 {
-    const auto rank = static_cast<std::size_t>(
-        rng.zipf(static_cast<std::int64_t>(extents_), skew_));
+    const auto rank = static_cast<std::size_t>(zipf_.draw(rng));
     const std::size_t extent = perm_[rank];
     const Lba ext_size = capacity_ / extents_;
     const Lba base = ext_size * extent;

@@ -86,7 +86,7 @@ class ZipfHotspot : public SpatialModel
   private:
     Lba capacity_;
     std::size_t extents_;
-    double skew_;
+    ZipfSampler zipf_;
     std::vector<std::uint32_t> perm_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "trace/ready.hh"
 
 namespace dlw
 {
@@ -60,16 +61,18 @@ MsTrace::checkValid() const
         return Status::corruptData("trace '" + drive_id_ + "': " + msg);
     };
 
-    Tick prev = start_;
-    for (std::size_t i = 0; i < reqs_.size(); ++i) {
-        const Request &r = reqs_[i];
-        if (r.blocks == 0)
+    ReadyChecker ready(start_, end());
+    for (const Request &r : reqs_) {
+        switch (ready.check(r.arrival, r.blocks)) {
+          case ReadyFault::kNone:
+            break;
+          case ReadyFault::kZeroBlocks:
             return complain("request with zero blocks");
-        if (r.arrival < prev)
+          case ReadyFault::kOutOfOrder:
             return complain("arrivals not sorted");
-        if (r.arrival < start_ || r.arrival >= end())
+          case ReadyFault::kOutsideWindow:
             return complain("arrival outside observation window");
-        prev = r.arrival;
+        }
     }
     return Status();
 }

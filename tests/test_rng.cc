@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "common/rng.hh"
 
@@ -190,6 +191,58 @@ TEST(Rng, ZipfSkewOrdersRanks)
     EXPECT_GT(counts[10], counts[90]);
     // Zipf(1): P(0)/P(9) ~ 10.
     EXPECT_NEAR(static_cast<double>(counts[0]) / counts[9], 10.0, 3.0);
+}
+
+TEST(Rng, ZipfSamplerDrawsArePinned)
+{
+    // Ranks recorded from the per-draw Rng::zipf before ZipfSampler
+    // hoisted its constants: the first 8 draws, a hash of the next
+    // 20000, and the next uniform() (so the engine consumed exactly
+    // as many words).  A held sampler and Rng::zipf must both
+    // reproduce them.
+    struct Pinned
+    {
+        std::uint64_t seed;
+        std::int64_t n;
+        double s;
+        std::int64_t first[8];
+        std::uint64_t hash;
+        double after;
+    };
+    const Pinned cases[] = {
+        {7, 1024, 0.9, {253, 779, 1, 567, 1, 0, 404, 596},
+         0x8687db98a901d999ull, 0.98963738059271256},
+        {9, 512, 0.8, {54, 49, 312, 257, 7, 0, 347, 2},
+         0x55ea5ecb6293d401ull, 0.21988151174356357},
+        {3, 100, 1, {9, 1, 11, 2, 9, 3, 25, 4}, 0xff91b184093b08b4ull,
+         0.7254398350832072},
+        {5, 2, 1.2, {0, 0, 0, 0, 0, 0, 0, 0}, 0x73972dd357d00697ull,
+         0.17870103686713248},
+        {11, 1, 0.9, {0, 0, 0, 0, 0, 0, 0, 0}, 0x0000000000000000ull,
+         0.1657131126044567},
+        {13, 10, 0, {6, 4, 0, 3, 2, 5, 9, 1}, 0x6f8d798e68e089e4ull,
+         0.97735585623074461},
+        {17, 1000000, 1.5, {5, 0, 5, 4, 1, 7, 0, 0},
+         0xab17b7fb3c92f789ull, 0.23942955123460044},
+    };
+    for (const Pinned &c : cases) {
+        SCOPED_TRACE("n " + std::to_string(c.n) + " s " +
+                     std::to_string(c.s));
+        for (bool held : {true, false}) {
+            Rng rng(c.seed);
+            const ZipfSampler sampler(c.n, c.s);
+            const auto draw = [&] {
+                return held ? sampler.draw(rng) : rng.zipf(c.n, c.s);
+            };
+            for (std::int64_t want : c.first)
+                EXPECT_EQ(draw(), want);
+            std::uint64_t h = 0;
+            for (int i = 0; i < 20000; ++i)
+                h = h * 1000003u + static_cast<std::uint64_t>(draw());
+            EXPECT_EQ(h, c.hash);
+            EXPECT_EQ(rng.uniform(), c.after);
+        }
+    }
 }
 
 TEST(Rng, ZipfZeroSkewIsUniform)
