@@ -415,7 +415,8 @@ BM_BinaryRoundTrip(benchmark::State &state)
         std::stringstream ss(std::ios::in | std::ios::out |
                              std::ios::binary);
         trace::writeMsBinary(ss, tr);
-        trace::MsTrace back = trace::readMsBinary(ss);
+        trace::MsTrace back =
+            trace::readMsBinary(ss, trace::IngestOptions{}).valueOrThrow();
         bytes += ss.str().size();
         benchmark::DoNotOptimize(back);
     }

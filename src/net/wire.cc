@@ -306,39 +306,12 @@ Status
 StreamDecoder::decodeBinPayload()
 {
     if (!header_ready_) {
-        // Fixed prefix: magic(8) + id_len(4).
-        if (payload_.size() < 12)
-            return Status();
-        if (std::memcmp(payload_.data(), trace::kMsBinaryMagic.data(),
-                        8) != 0) {
-            return Status::corruptData(
-                "not a dlw binary ms trace (bad magic)");
-        }
-        std::uint32_t id_len = 0;
-        std::memcpy(&id_len, payload_.data() + 8, 4);
-        if (id_len > 4096) {
-            std::ostringstream os;
-            os << "implausible drive-id length " << id_len;
-            return Status::corruptData(os.str());
-        }
-        // Full header: prefix + id + start(8) + duration(8) +
-        // count(8).
-        const std::size_t need = 12 + id_len + 24;
-        if (payload_.size() < need)
-            return Status();
-        header_.drive_id.assign(payload_.data() + 12, id_len);
-        std::int64_t start = 0, duration = 0;
-        std::uint64_t count = 0;
-        std::memcpy(&start, payload_.data() + 12 + id_len, 8);
-        std::memcpy(&duration, payload_.data() + 12 + id_len + 8, 8);
-        std::memcpy(&count, payload_.data() + 12 + id_len + 16, 8);
-        if (duration < 0) {
-            return Status::corruptData(
-                "negative duration in binary header");
-        }
-        header_.start = start;
-        header_.duration = duration;
-        expected_records_ = count;
+        std::size_t need = 0;
+        Status s = trace::parseMsBinaryHeader(
+            std::string_view(payload_.data(), payload_.size()),
+            /*at_end=*/false, header_, expected_records_, need);
+        if (!s.ok() || payload_.size() < need)
+            return s;
         payload_.consume(need);
         header_ready_ = true;
     }

@@ -1,11 +1,7 @@
 #include "trace/binio.hh"
 
-#include <array>
-#include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "trace/stream.hh"
 
@@ -75,18 +71,6 @@ readMsBinary(const std::string &path, const IngestOptions &opts,
              IngestStats *stats)
 {
     return drainMsSource(openMsBinarySource(path, opts), stats);
-}
-
-MsTrace
-readMsBinary(std::istream &is)
-{
-    return readMsBinary(is, IngestOptions{}).valueOrThrow();
-}
-
-MsTrace
-readMsBinary(const std::string &path)
-{
-    return readMsBinary(path, IngestOptions{}).valueOrThrow();
 }
 
 } // namespace trace

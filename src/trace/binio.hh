@@ -57,12 +57,6 @@ StatusOr<MsTrace> readMsBinary(const std::string &path,
                                const IngestOptions &opts,
                                IngestStats *stats = nullptr);
 
-/** Strict legacy read (kAbort; throws StatusError on corruption). */
-MsTrace readMsBinary(std::istream &is);
-
-/** Strict legacy read from a file (throws StatusError). */
-MsTrace readMsBinary(const std::string &path);
-
 } // namespace trace
 } // namespace dlw
 

@@ -4,11 +4,9 @@
  *
  * The CSV forms are the human-auditable interchange format; each file
  * starts with a `# dlw-<kind>-v1` header line followed by a column
- * header.  The Status-returning readers apply the caller's
- * RecordPolicy to corrupt records (see trace/ingest.hh) and fill an
- * IngestStats; header corruption always fails.  The legacy
- * value-returning overloads keep the strict posture: they read under
- * RecordPolicy::kAbort and throw StatusError on any corruption.
+ * header.  The readers apply the caller's RecordPolicy to corrupt
+ * records (see trace/ingest.hh) and fill an IngestStats; header
+ * corruption always fails.
  */
 
 #ifndef DLW_TRACE_CSVIO_HH
@@ -51,12 +49,6 @@ StatusOr<MsTrace> readMsCsv(const std::string &path,
                             const IngestOptions &opts,
                             IngestStats *stats = nullptr);
 
-/** Strict legacy read (kAbort; throws StatusError on corruption). */
-MsTrace readMsCsv(std::istream &is);
-
-/** Strict legacy read from a file (throws StatusError). */
-MsTrace readMsCsv(const std::string &path);
-
 /** Write an hour trace as CSV to a stream (throws StatusError). */
 void writeHourCsv(std::ostream &os, const HourTrace &trace);
 
@@ -72,12 +64,6 @@ StatusOr<HourTrace> readHourCsv(std::istream &is,
 StatusOr<HourTrace> readHourCsv(const std::string &path,
                                 const IngestOptions &opts,
                                 IngestStats *stats = nullptr);
-
-/** Strict legacy read (throws StatusError). */
-HourTrace readHourCsv(std::istream &is);
-
-/** Strict legacy read from a file (throws StatusError). */
-HourTrace readHourCsv(const std::string &path);
 
 /** Write a lifetime trace as CSV to a stream (throws StatusError). */
 void writeLifetimeCsv(std::ostream &os, const LifetimeTrace &trace);
@@ -95,12 +81,6 @@ StatusOr<LifetimeTrace> readLifetimeCsv(std::istream &is,
 StatusOr<LifetimeTrace> readLifetimeCsv(const std::string &path,
                                         const IngestOptions &opts,
                                         IngestStats *stats = nullptr);
-
-/** Strict legacy read (throws StatusError). */
-LifetimeTrace readLifetimeCsv(std::istream &is);
-
-/** Strict legacy read from a file (throws StatusError). */
-LifetimeTrace readLifetimeCsv(const std::string &path);
 
 } // namespace trace
 } // namespace dlw

@@ -2,7 +2,9 @@
 
 #include <sstream>
 
+#include "common/fault.hh"
 #include "obs/metrics.hh"
+#include "trace/gate.hh"
 
 namespace dlw
 {
@@ -121,6 +123,31 @@ IngestStats::merge(const IngestStats &other)
             break;
         error_samples.push_back(s);
     }
+}
+
+std::string
+atLine(std::size_t lineno, std::string_view what, std::string_view unit)
+{
+    std::string s(unit);
+    s += ' ';
+    s += std::to_string(lineno);
+    s += ": ";
+    s += what;
+    return s;
+}
+
+Status
+openTraceFile(const std::string &path, std::ifstream &is)
+{
+    obs::ScopedSpan span("ingest.open");
+    if (FAULT_POINT("trace.open")) {
+        return Status::ioError("injected fault at trace.open on '" +
+                               path + "'");
+    }
+    is.open(path, std::ios::binary);
+    if (!is)
+        return Status::ioError("cannot open '" + path + "' for reading");
+    return Status();
 }
 
 std::string

@@ -51,14 +51,6 @@ StatusOr<MsTrace> readSpc(const std::string &path,
                           const IngestOptions &opts,
                           IngestStats *stats = nullptr, int asu = -1);
 
-/** Strict legacy read (kAbort; throws StatusError on corruption). */
-MsTrace readSpc(std::istream &is, const std::string &drive_id,
-                int asu = -1);
-
-/** Strict legacy read from a file (throws StatusError). */
-MsTrace readSpc(const std::string &path, const std::string &drive_id,
-                int asu = -1);
-
 /** Write a ms trace in SPC format (asu column fixed to 0). */
 void writeSpc(std::ostream &os, const MsTrace &trace);
 

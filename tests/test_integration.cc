@@ -101,7 +101,8 @@ TEST(Integration, TraceSurvivesSerializationIntoSameAnalysis)
     std::stringstream bin(std::ios::in | std::ios::out |
                           std::ios::binary);
     trace::writeMsBinary(bin, r.tr);
-    trace::MsTrace back = trace::readMsBinary(bin);
+    trace::MsTrace back =
+        trace::readMsBinary(bin, trace::IngestOptions{}).valueOrThrow();
 
     core::BurstinessReport a = core::analyzeBurstiness(r.tr);
     core::BurstinessReport b = core::analyzeBurstiness(back);

@@ -34,7 +34,7 @@ TEST(CsvIo, MsRoundTrip)
     MsTrace a = sampleMs();
     std::stringstream ss;
     writeMsCsv(ss, a);
-    MsTrace b = readMsCsv(ss);
+    MsTrace b = readMsCsv(ss, IngestOptions{}).valueOrThrow();
     EXPECT_EQ(b.driveId(), a.driveId());
     EXPECT_EQ(b.start(), a.start());
     EXPECT_EQ(b.duration(), a.duration());
@@ -78,7 +78,8 @@ TEST(CsvIo, MsRejectsShortRow)
 TEST(CsvIo, LegacyReaderThrowsOnCorruption)
 {
     std::stringstream ss("not a header\n");
-    EXPECT_THROW(readMsCsv(ss), StatusError);
+    EXPECT_THROW(readMsCsv(ss, IngestOptions{}).valueOrThrow(),
+                 StatusError);
 }
 
 TEST(CsvIo, HourRoundTrip)
@@ -95,7 +96,7 @@ TEST(CsvIo, HourRoundTrip)
     }
     std::stringstream ss;
     writeHourCsv(ss, a);
-    HourTrace b = readHourCsv(ss);
+    HourTrace b = readHourCsv(ss, IngestOptions{}).valueOrThrow();
     EXPECT_EQ(b.driveId(), a.driveId());
     EXPECT_EQ(b.start(), a.start());
     ASSERT_EQ(b.hours(), a.hours());
@@ -122,7 +123,7 @@ TEST(CsvIo, LifetimeRoundTrip)
     }
     std::stringstream ss;
     writeLifetimeCsv(ss, a);
-    LifetimeTrace b = readLifetimeCsv(ss);
+    LifetimeTrace b = readLifetimeCsv(ss, IngestOptions{}).valueOrThrow();
     EXPECT_EQ(b.family(), "FAM-X");
     ASSERT_EQ(b.size(), a.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -141,7 +142,7 @@ TEST(BinIo, RoundTripExact)
     std::stringstream ss(std::ios::in | std::ios::out |
                          std::ios::binary);
     writeMsBinary(ss, a);
-    MsTrace b = readMsBinary(ss);
+    MsTrace b = readMsBinary(ss, IngestOptions{}).valueOrThrow();
     EXPECT_EQ(b.driveId(), a.driveId());
     ASSERT_EQ(b.size(), a.size());
     for (std::size_t i = 0; i < a.size(); ++i)
@@ -180,7 +181,7 @@ TEST(BinIo, FileRoundTrip)
     const std::string path =
         ::testing::TempDir() + "/dlw_binio_test.bin";
     writeMsBinary(path, a);
-    MsTrace b = readMsBinary(path);
+    MsTrace b = readMsBinary(path, IngestOptions{}).valueOrThrow();
     EXPECT_EQ(b.size(), a.size());
 }
 
@@ -190,7 +191,7 @@ TEST(Spc, ParsesAndSorts)
         "0,1000,4096,r,0.002\n"
         "0,2000,512,W,0.001\n"
         "1,3000,512,r,0.003\n");
-    MsTrace t = readSpc(ss, "spc-drive");
+    MsTrace t = readSpc(ss, "spc-drive", IngestOptions{}).valueOrThrow();
     ASSERT_EQ(t.size(), 3u);
     // Sorted by arrival.
     EXPECT_EQ(t.at(0).lba, 2000u);
@@ -207,7 +208,8 @@ TEST(Spc, AsuFilter)
         "0,1000,512,r,0.001\n"
         "1,2000,512,r,0.002\n"
         "0,3000,512,r,0.003\n");
-    MsTrace t = readSpc(ss, "d", 0);
+    MsTrace t =
+        readSpc(ss, "d", IngestOptions{}, nullptr, 0).valueOrThrow();
     EXPECT_EQ(t.size(), 2u);
 }
 
@@ -217,7 +219,7 @@ TEST(Spc, SkipsCommentsAndBlanks)
         "# header comment\n"
         "\n"
         "0,1000,512,r,0.001\n");
-    MsTrace t = readSpc(ss, "d");
+    MsTrace t = readSpc(ss, "d", IngestOptions{}).valueOrThrow();
     EXPECT_EQ(t.size(), 1u);
 }
 
@@ -236,7 +238,7 @@ TEST(Spc, RoundTripThroughWriter)
     MsTrace a = sampleMs();
     std::stringstream ss;
     writeSpc(ss, a);
-    MsTrace b = readSpc(ss, a.driveId());
+    MsTrace b = readSpc(ss, a.driveId(), IngestOptions{}).valueOrThrow();
     ASSERT_EQ(b.size(), a.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(b.at(i).lba, a.at(i).lba);
