@@ -7,6 +7,7 @@
 
 #include "common/rng.hh"
 #include "common/strutil.hh"
+#include "trace/stream.hh"
 
 namespace dlw
 {
@@ -197,6 +198,16 @@ parseCorruptMode(std::string_view name)
 StatusOr<std::string>
 corruptBuffer(const std::string &in, const CorruptSpec &spec)
 {
+    const bool byte_mode = spec.mode == CorruptMode::kTruncate ||
+                           spec.mode == CorruptMode::kBitFlip;
+    if (!byte_mode && in.compare(0, kMsBinaryMagic.size(),
+                                 kMsBinaryMagic.data(),
+                                 kMsBinaryMagic.size()) == 0) {
+        return Status::invalidArgument(
+            std::string("mode '") + corruptModeName(spec.mode) +
+            "' edits CSV lines and cannot damage a binary DLWMS1 "
+            "trace (use truncate or bitflip)");
+    }
     Rng rng(spec.seed);
     switch (spec.mode) {
       case CorruptMode::kTruncate:

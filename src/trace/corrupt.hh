@@ -12,7 +12,8 @@
  * Byte-level modes (truncate, bitflip) work on any format; the
  * line-level modes (garbage, dup, reorder) assume a dlw CSV layout
  * and never touch the first two header lines, so the damage lands in
- * record data where the RecordPolicy machinery can react to it.
+ * record data where the RecordPolicy machinery can react to it.  They
+ * refuse a binary DLWMS1 trace, whose records are not lines.
  */
 
 #ifndef DLW_TRACE_CORRUPT_HH
@@ -73,7 +74,8 @@ struct CorruptSpec
  * @param spec What to damage and how, keyed by spec.seed.
  * @return The damaged bytes, or InvalidArgument when the buffer is
  *         too small to damage as requested (e.g. nothing beyond the
- *         spared offset, or no record lines for a line-level mode).
+ *         spared offset, or no record lines for a line-level mode) or
+ *         a line-level mode meets a DLWMS1 binary trace.
  */
 StatusOr<std::string> corruptBuffer(const std::string &in,
                                     const CorruptSpec &spec);

@@ -83,6 +83,14 @@ struct HourBucket
 };
 
 /**
+ * Hour indexes a reader accepts: 2^20 hours, about 120 years, far
+ * above the 5-year (43800-hour) default of `dlwtool family
+ * --max-hours`.  A larger index in a file is corrupt, not a log to
+ * allocate.
+ */
+constexpr std::size_t kMaxHours = std::size_t(1) << 20;
+
+/**
  * Hour-granularity activity log for one drive.
  */
 class HourTrace

@@ -180,31 +180,60 @@ TEST(Analyze, TraceLeavingItsWindowFailsAsTheWholeTracePathDoes)
         expectStreamedEqualsWholeTrace(path, p);
 }
 
+/** Set the blocks field of record line `i` (headers excluded). */
+void
+setBlocks(std::vector<std::string> &lines, std::size_t i,
+          const char *blocks)
+{
+    std::string &l = lines[2 + i];
+    const std::size_t a = l.find(',', l.find(',') + 1);
+    const std::size_t b = l.find(',', a + 1);
+    l = l.substr(0, a + 1) + blocks + l.substr(b);
+}
+
 TEST(Analyze, ZeroLengthRecordsPartwayMatchUnderEveryPolicy)
 {
     std::vector<std::string> lines = csvLines(sample());
-    // A literal zero and 2^32, which the 32-bit cast turns into zero.
-    auto zero = [&](std::size_t i, const char *blocks) {
-        std::string &l = lines[2 + i];
-        const std::size_t a = l.find(',', l.find(',') + 1);
-        const std::size_t b = l.find(',', a + 1);
-        l = l.substr(0, a + 1) + blocks + l.substr(b);
-    };
-    zero(8500, "0");
-    zero(9500, "4294967296");
+    setBlocks(lines, 8500, "0");
     const std::string path = writeTemp(join(lines), ".csv");
 
     const Outcome skip =
         analyze(path, false, 4096, trace::RecordPolicy::kSkipAndCount);
     EXPECT_EQ(skip.out.rfind("ingestion: read ", 0), 0u) << skip.out;
-    EXPECT_NE(skip.out.find("skipped 2"), std::string::npos)
+    EXPECT_NE(skip.out.find("skipped 1"), std::string::npos)
         << skip.out;
     EXPECT_NE(analyze(path, false, 4096,
                       trace::RecordPolicy::kBestEffortClamp)
-                  .out.find("clamped 2"),
+                  .out.find("clamped 1"),
               std::string::npos);
     EXPECT_NE(analyze(path, false, 4096).error.find("zero-length"),
               std::string::npos);
+    for (trace::RecordPolicy p : {trace::RecordPolicy::kSkipAndCount,
+                                  trace::RecordPolicy::kBestEffortClamp,
+                                  trace::RecordPolicy::kAbort})
+        expectStreamedEqualsWholeTrace(path, p);
+}
+
+TEST(Analyze, OutOfRangeBlocksRefusedUnderEveryPolicy)
+{
+    // 2^32 and 2^32 + 1 do not fit a 32-bit block count: refused,
+    // never wrapped to 0 or 1, and never clamped.
+    std::vector<std::string> lines = csvLines(sample());
+    setBlocks(lines, 8500, "4294967296");
+    setBlocks(lines, 9500, "4294967297");
+    const std::string path = writeTemp(join(lines), ".csv");
+
+    for (trace::RecordPolicy p : {trace::RecordPolicy::kSkipAndCount,
+                                  trace::RecordPolicy::kBestEffortClamp}) {
+        const Outcome o = analyze(path, false, 4096, p);
+        EXPECT_EQ(o.out.rfind("ingestion: read ", 0), 0u) << o.out;
+        EXPECT_NE(o.out.find("skipped 2, clamped 0, errors 2"),
+                  std::string::npos)
+            << o.out;
+    }
+    EXPECT_EQ(analyze(path, false, 4096).error,
+              "[CorruptData] reading '" + path + "': line 8503: blocks "
+              "out of range '4294967296'");
     for (trace::RecordPolicy p : {trace::RecordPolicy::kSkipAndCount,
                                   trace::RecordPolicy::kBestEffortClamp,
                                   trace::RecordPolicy::kAbort})

@@ -112,8 +112,7 @@ TEST(CsvOracle, RecordParserMatchesOnEdgeCases)
         // Malformed fields with whitespace at their edges: the error
         // text quotes them trimmed.
         "1x ,2,3,R", "1, ?! ,3,R", "1,2,\t3x\t,R", "1,2,3,\tq \r",
-        // Blocks at and past 2^32: the cast to 32 bits wraps to 0
-        // (zero-length) and 1.
+        // Blocks at and past 2^32 are out of range, never wrapped.
         "1,2,4294967296,R", "1,2,4294967297,W", "1,2,4294967295,R",
         "1,2,0,R", "1,2,0,w",
         // Lowercase and unknown ops, with and without clamp.
@@ -130,6 +129,19 @@ TEST(CsvOracle, RecordParserMatchesOnEdgeCases)
     };
     for (const std::string &line : cases)
         expectSameParse(line);
+
+    for (bool clamp : {false, true}) {
+        Request r;
+        EXPECT_EQ(parseMsCsvRecordLine("1,2, 4294967296 ,R", clamp, r).why,
+                  "blocks out of range '4294967296'");
+        const MsRecordParse p =
+            parseMsCsvRecordLine("1,2,4294967297,W", clamp, r);
+        EXPECT_EQ(p.why, "blocks out of range '4294967297'");
+        EXPECT_FALSE(p.clamped);
+        EXPECT_TRUE(parseMsCsvRecordLine("1,2,4294967295,R", clamp, r)
+                        .why.empty());
+        EXPECT_EQ(r.blocks, 4294967295u);
+    }
 }
 
 // ---- The chunked line reader -------------------------------------

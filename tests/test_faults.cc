@@ -339,6 +339,40 @@ TEST(Corrupt, LineModesPreserveHeaders)
     }
 }
 
+TEST(Corrupt, LineModesRefuseBinaryTraces)
+{
+    std::stringstream bin(std::ios::in | std::ios::out |
+                          std::ios::binary);
+    std::stringstream csv(corruptMsCsv());
+    trace::writeMsBinary(
+        bin, trace::readMsCsv(csv, withPolicy(RecordPolicy::kSkipAndCount))
+                 .valueOrThrow());
+    const std::string in = bin.str();
+    for (trace::CorruptMode m :
+         {trace::CorruptMode::kFieldGarbage,
+          trace::CorruptMode::kDupTimestamp,
+          trace::CorruptMode::kReorder}) {
+        trace::CorruptSpec spec;
+        spec.mode = m;
+        auto r = trace::corruptBuffer(in, spec);
+        ASSERT_FALSE(r.ok()) << trace::corruptModeName(m);
+        EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(r.status().message(),
+                  std::string("mode '") + trace::corruptModeName(m) +
+                      "' edits CSV lines and cannot damage a binary "
+                      "DLWMS1 trace (use truncate or bitflip)");
+    }
+    for (trace::CorruptMode m :
+         {trace::CorruptMode::kTruncate, trace::CorruptMode::kBitFlip}) {
+        trace::CorruptSpec spec;
+        spec.mode = m;
+        spec.offset = 64;
+        auto r = trace::corruptBuffer(in, spec);
+        ASSERT_TRUE(r.ok()) << trace::corruptModeName(m);
+        EXPECT_NE(r.value(), in);
+    }
+}
+
 TEST(Corrupt, TruncateCutsTheMiddle)
 {
     std::string in(1000, 'x');
