@@ -27,7 +27,7 @@
  *
  * StreamDecoder is the incremental, push-fed parser the epoll loop
  * uses: feed it whatever bytes arrived, take full RequestBatches
- * out.  It shares the record codec with the file decoders
+ * out.  It shares the header and record codecs with the file decoders
  * (trace/stream.hh), so a streamed trace parses byte-for-byte like
  * the same trace read from disk.  Corrupt records always abort the
  * session — a daemon cannot ask a remote client which recovery
