@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
+#include <memory>
 
 #include "common/rng.hh"
 #include "core/characterize.hh"
@@ -14,6 +19,9 @@
 #include "synth/family.hh"
 #include "synth/workload.hh"
 #include "trace/aggregate.hh"
+#include "trace/binio.hh"
+#include "trace/csvio.hh"
+#include "trace/stream.hh"
 
 namespace dlw
 {
@@ -64,6 +72,109 @@ TEST(Characterize, ResponseLogSinkRendersTheSameReport)
     trace::MsTraceSource src(tr);
     pass.run(src);
     EXPECT_EQ(characterizeMs(pass, log, responses).render(), want);
+}
+
+/** Every field of two Hurst estimates, doubles compared with ==. */
+void
+expectSameHurst(const stats::HurstEstimate &a,
+                const stats::HurstEstimate &b)
+{
+    EXPECT_EQ(a.h, b.h);
+    EXPECT_EQ(a.r2, b.r2);
+    EXPECT_EQ(a.points, b.points);
+    EXPECT_EQ(a.log_scale, b.log_scale);
+    EXPECT_EQ(a.log_value, b.log_value);
+}
+
+/**
+ * The trace-derived half of two characterizations, field by field,
+ * doubles compared with ==.
+ */
+void
+expectSameTraceHalf(const DriveCharacterization &a,
+                    const DriveCharacterization &b)
+{
+    EXPECT_EQ(a.drive_id, b.drive_id);
+    ASSERT_TRUE(a.ms_burstiness && b.ms_burstiness);
+    const BurstinessReport &x = *a.ms_burstiness;
+    const BurstinessReport &y = *b.ms_burstiness;
+    EXPECT_EQ(x.base_bin, y.base_bin);
+    EXPECT_EQ(x.interarrival_cv, y.interarrival_cv);
+    EXPECT_EQ(x.peak_to_mean, y.peak_to_mean);
+    ASSERT_EQ(x.idc.size(), y.idc.size());
+    for (std::size_t i = 0; i < x.idc.size(); ++i) {
+        EXPECT_EQ(x.idc[i].window, y.idc[i].window);
+        EXPECT_EQ(x.idc[i].idc, y.idc[i].idc);
+        EXPECT_EQ(x.idc[i].windows, y.idc[i].windows);
+    }
+    expectSameHurst(x.hurst_var, y.hurst_var);
+    expectSameHurst(x.hurst_rs, y.hurst_rs);
+    EXPECT_EQ(x.acf, y.acf);
+    EXPECT_EQ(x.decorrelation_lag, y.decorrelation_lag);
+    ASSERT_TRUE(a.ms_rw && b.ms_rw);
+    const RwDynamics &r = *a.ms_rw;
+    const RwDynamics &w = *b.ms_rw;
+    EXPECT_EQ(r.bin_width, w.bin_width);
+    EXPECT_EQ(r.read_fraction, w.read_fraction);
+    EXPECT_EQ(r.read_fraction_series, w.read_fraction_series);
+    EXPECT_EQ(r.read_fraction_stddev, w.read_fraction_stddev);
+    EXPECT_EQ(r.write_dominated_fraction, w.write_dominated_fraction);
+    EXPECT_EQ(r.mean_run_length, w.mean_run_length);
+    EXPECT_EQ(r.longest_write_run, w.longest_write_run);
+    EXPECT_EQ(r.write_bursts, w.write_bursts);
+    ASSERT_TRUE(a.arrival_rate && b.arrival_rate);
+    EXPECT_EQ(*a.arrival_rate, *b.arrival_rate);
+    ASSERT_TRUE(a.read_fraction && b.read_fraction);
+    EXPECT_EQ(*a.read_fraction, *b.read_fraction);
+}
+
+TEST(OneFold, AnalyzeAndCharacterizeFoldTheSameTraceHalf)
+{
+    // What `analyze` reports of a file (characterizeMs over the read
+    // trace) and what `characterize` and a dlwd session report
+    // (LiveCharacterization over the file's batches) are one fold:
+    // equal to the last bit, for CSV and DLWMS1 inputs, at any batch
+    // size.
+    Rng rng(11);
+    synth::Workload w = synth::Workload::makeOltp(1 << 22, 120.0, 3);
+    const trace::MsTrace gen = w.generate(rng, "fold-drv", 0, 90 * kSec);
+    ASSERT_GT(gen.size(), 2 * 4096u);
+    const std::string base = ::testing::TempDir() + "dlw_one_fold_" +
+                             std::to_string(::getpid());
+    {
+        std::ofstream csv(base + ".csv", std::ios::binary);
+        trace::writeMsCsv(csv, gen);
+        std::ofstream bin(base + ".bin", std::ios::binary);
+        trace::writeMsBinary(bin, gen);
+    }
+    disk::DiskDrive drive(disk::DriveConfig::makeEnterprise());
+    for (const char *ext : {".csv", ".bin"}) {
+        const std::string path = base + ext;
+        const trace::MsTrace tr =
+            trace::readMsFile(path, trace::IngestOptions())
+                .valueOrThrow();
+        const DriveCharacterization want =
+            characterizeMs(tr, drive.service(tr));
+        for (std::size_t batch : {1, 7, 4096}) {
+            SCOPED_TRACE(std::string(ext) + " at batch " +
+                         std::to_string(batch));
+            auto src = trace::openMsSource(path, trace::IngestOptions())
+                           .valueOrThrow();
+            trace::MsStreamHeader meta;
+            meta.drive_id = src->driveId();
+            meta.start = src->start();
+            meta.duration = src->duration();
+            LiveCharacterization live(meta);
+            trace::RequestBatch b(batch);
+            while (src->next(b))
+                ASSERT_TRUE(live.observe(b).ok());
+            ASSERT_TRUE(src->status().ok());
+            EXPECT_EQ(live.requests(), tr.size());
+            expectSameTraceHalf(live.finish(), want);
+        }
+    }
+    std::remove((base + ".csv").c_str());
+    std::remove((base + ".bin").c_str());
 }
 
 TEST(Characterize, HourAndLifetimeScalesExtend)
