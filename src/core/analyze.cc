@@ -1,11 +1,13 @@
 #include "core/analyze.hh"
 
+#include <optional>
 #include <ostream>
+#include <string>
 
 #include "common/strutil.hh"
 #include "core/characterize.hh"
+#include "core/live.hh"
 #include "obs/span.hh"
-#include "trace/ready.hh"
 #include "trace/source.hh"
 #include "trace/stream.hh"
 
@@ -17,19 +19,27 @@ namespace core
 namespace
 {
 
+/** True when [lba, lba + blocks) is not on a drive of `cap` blocks. */
+bool
+beyond(Lba lba, BlockCount blocks, Lba cap)
+{
+    return lba > cap || blocks > cap - lba;
+}
+
 /**
  * The one decode trip of a streamed analyze, as a RequestSource
- * decorator in front of DiskDrive::service.  Each batch is checked
- * for stream-readiness (nonzero sizes, arrivals sorted and inside the
- * window) and folded into the trace pass under a per-batch
- * "trace-pass" span.  The first violation ends the stream and clears
- * ready().
+ * decorator in front of DiskDrive::service.  Each batch must lie on
+ * the drive and is folded into the live characterization under a
+ * per-batch "trace-pass" span; a record past the drive's capacity or
+ * one the fold refuses (zero size, arrival out of order or outside
+ * the window) ends the stream and clears ready().
  */
 class ReadyCheckSource final : public trace::RequestSource
 {
   public:
-    ReadyCheckSource(trace::RequestSource &inner, MsTracePass &pass)
-        : inner_(inner), pass_(pass), checker_(inner.start(), inner.end())
+    ReadyCheckSource(trace::RequestSource &inner,
+                     LiveCharacterization &live, Lba capacity)
+        : inner_(inner), live_(live), capacity_(capacity)
     {
         setTag(inner.tag());
     }
@@ -50,23 +60,37 @@ class ReadyCheckSource final : public trace::RequestSource
     {
         if (!ready_ || !inner_.next(batch))
             return false;
-        if (!checker_.check(batch).ok()) {
-            ready_ = false;
+        ready_ = onDrive(batch) && fold(batch);
+        if (!ready_)
             batch.clear();
-            return false;
-        }
-        obs::ScopedSpan span("trace-pass");
-        pass_.observe(batch);
-        return true;
+        return ready_;
     }
 
-    /** False once a batch failed the readiness check. */
+    /** False once a batch failed the check. */
     bool ready() const { return ready_; }
 
   private:
+    bool
+    onDrive(const trace::RequestBatch &batch) const
+    {
+        const Lba *lbas = batch.lbasData();
+        const BlockCount *blocks = batch.blocksData();
+        bool out = false;
+        for (std::size_t i = 0; i < batch.size(); ++i)
+            out |= beyond(lbas[i], blocks[i], capacity_);
+        return !out;
+    }
+
+    bool
+    fold(const trace::RequestBatch &batch)
+    {
+        obs::ScopedSpan span("trace-pass");
+        return live_.observe(batch).ok();
+    }
+
     trace::RequestSource &inner_;
-    MsTracePass &pass_;
-    trace::ReadyChecker checker_;
+    LiveCharacterization &live_;
+    Lba capacity_;
     bool ready_ = true;
 };
 
@@ -87,25 +111,26 @@ analyzeStreamed(const std::string &path, const AnalyzeOptions &opts,
                 std::ostream &out)
 {
     disk::DiskDrive drive(opts.drive);
-    MsTracePass trace;
+    std::optional<LiveCharacterization> live;
     disk::ServiceLog log;
     disk::ResponseLog responses;
     trace::IngestStats stats;
     {
-        // Decode, and with it the trace pass, happens as the engine
-        // pulls batches, so ingest.* and trace-pass spans nest here.
+        // Decode, and with it the fold, happens as the engine pulls
+        // batches, so ingest.* and trace-pass spans nest here.
         obs::ScopedSpan span("service");
         auto file = trace::openMsSource(path, opts.ingest).valueOrThrow();
-        ReadyCheckSource src(*file, trace);
-        trace.begin(src);
+        live.emplace(trace::MsStreamHeader{file->driveId(), file->start(),
+                                           file->duration()});
+        ReadyCheckSource src(*file, *live,
+                             opts.drive.geometry.capacityBlocks());
         log = drive.service(src, &responses, opts.batch_requests);
         if (!src.ready())
             return false;
         stats = file->stats();
     }
-    trace.finish();
     writeIngestion(out, stats);
-    out << characterizeMs(trace, log, responses).render();
+    out << characterizeMs(live->finish(), log, responses).render();
     return true;
 }
 
@@ -125,6 +150,17 @@ analyzeTraceFile(const std::string &path, const AnalyzeOptions &opts,
     writeIngestion(out, stats);
     tr.sortByArrival();
     tr.validate(true);
+    const Lba cap = opts.drive.geometry.capacityBlocks();
+    for (const trace::Request &r : tr.requests()) {
+        if (beyond(r.lba, r.blocks, cap)) {
+            throw StatusError(Status::corruptData(
+                "trace '" + tr.driveId() +
+                "': request past the drive's capacity of " +
+                std::to_string(cap) + " blocks (lba " +
+                std::to_string(r.lba) + ", " + std::to_string(r.blocks) +
+                " blocks)"));
+        }
+    }
 
     disk::DiskDrive drive(opts.drive);
     disk::ResponseLog responses;
@@ -133,10 +169,9 @@ analyzeTraceFile(const std::string &path, const AnalyzeOptions &opts,
         trace::MsTraceSource src(tr);
         return drive.service(src, &responses);
     }();
-    MsTracePass trace;
     trace::MsTraceSource src(tr);
-    trace.run(src);
-    out << characterizeMs(trace, log, responses).render();
+    out << characterizeMs(foldTrace(src).valueOrThrow(), log, responses)
+               .render();
 }
 
 } // namespace core

@@ -6,15 +6,17 @@
  *
  * Streamed (the default for .csv and .bin inputs), the file is
  * decoded once.  A readiness check sits between the file source and
- * DiskDrive::service: it checks each batch incrementally (nonzero
- * sizes, arrivals sorted and inside the window) and folds it into the
- * trace half of the characterization (MsTracePass) as the engine
- * pulls it.  A trace that fails the check ends that trip at the first
- * violation, and the pipeline falls back to the whole-trace path:
- * read everything, sort, validate, service, characterize.  Both paths
- * serve into a disk::ResponseLog, which keeps each request's response
- * time and nothing else of its completion, and assemble the report
- * through the same characterizeMs, so they render the same bytes.
+ * DiskDrive::service: each batch must lie on the drive, and is folded
+ * into the trace half of the characterization (LiveCharacterization,
+ * which refuses zero sizes and arrivals out of order or outside the
+ * window) as the engine pulls it.  A trace that fails the check ends
+ * that trip at the first violation, and the pipeline falls back to
+ * the whole-trace path: read everything, sort, validate, refuse a
+ * record past the drive's capacity, service, fold (foldTrace),
+ * characterize.  Both paths serve into a disk::ResponseLog, which
+ * keeps each request's response time and nothing else of its
+ * completion, and complete the report through the same
+ * characterizeMs, so they render the same bytes.
  */
 
 #ifndef DLW_CORE_ANALYZE_HH
@@ -50,7 +52,8 @@ struct AnalyzeOptions
  * reader met corruption, then the rendered characterization.
  *
  * Throws StatusError on an unrecovered read failure, an unknown
- * extension or a trace that fails validation.  The whole-trace path
+ * extension, a trace that fails validation or a record past the
+ * drive's capacity.  The whole-trace path
  * writes its ingestion line before it validates, so a trace that
  * fails validation still leaves that line in `out`.
  */

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "core/live.hh"
 #include "core/report.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
@@ -43,47 +44,13 @@ registerCoreMetrics()
     coreMetrics();
 }
 
-MsTracePass::MsTracePass()
-{
-    pass_.add(burstiness_);
-    pass_.add(rwmix_);
-    pass_.add(totals_);
-}
-
-void
-MsTracePass::begin(const trace::RequestSource &src)
-{
-    drive_id_ = src.driveId();
-    pass_.begin(src);
-}
-
-Status
-MsTracePass::run(trace::RequestSource &src)
-{
-    obs::ScopedSpan stage("trace-pass");
-    drive_id_ = src.driveId();
-    return pass_.run(src);
-}
-
-void
-MsTracePass::fill(DriveCharacterization &c) const
-{
-    c.drive_id = drive_id_;
-    c.ms_burstiness = burstiness_.report();
-    c.ms_rw = rwmix_.report();
-    c.arrival_rate = totals_.arrivalRate();
-    c.read_fraction = totals_.readFraction();
-}
-
 DriveCharacterization
-characterizeMs(const MsTracePass &trace, const disk::ServiceLog &log,
+characterizeMs(DriveCharacterization c, const disk::ServiceLog &log,
                disk::ResponseLog &responses)
 {
     obs::ScopedSpan span("characterize");
     coreMetrics().ms_runs.add(1);
 
-    DriveCharacterization c;
-    trace.fill(c);
     {
         obs::ScopedSpan stage("utilization");
         c.util_1s = utilizationProfile(log, kSec);
@@ -109,10 +76,8 @@ characterizeMs(const MsTracePass &trace, const disk::ServiceLog &log,
 DriveCharacterization
 characterizeMs(trace::RequestSource &src, const disk::ServiceLog &log)
 {
-    MsTracePass trace;
-    trace.run(src);
     disk::ResponseLog responses = log.responseLog();
-    return characterizeMs(trace, log, responses);
+    return characterizeMs(foldTrace(src).valueOrThrow(), log, responses);
 }
 
 DriveCharacterization

@@ -65,66 +65,29 @@ struct DriveCharacterization
 };
 
 /**
- * The trace-derived half of a ms-scale characterization: burstiness,
- * read/write dynamics and the request totals (arrival rate, read
- * fraction), fused into one CharacterizationPass.  run() pulls a
- * source through it; a caller that already consumes the stream
- * pushes the batches instead (begin, observe, finish), as a streamed
- * analyze does from inside the drive engine's decode trip.
- */
-class MsTracePass
-{
-  public:
-    MsTracePass();
-    MsTracePass(const MsTracePass &) = delete;
-    MsTracePass &operator=(const MsTracePass &) = delete;
-
-    /** Start of stream (window and drive id are read here). */
-    void begin(const trace::RequestSource &src);
-
-    /** One batch, in arrival order. */
-    void observe(const trace::RequestBatch &batch) { pass_.observe(batch); }
-
-    /** End of a clean stream. */
-    void finish() { pass_.finish(); }
-
-    /**
-     * begin(), every batch of `src`, finish(), under a "trace-pass"
-     * span.
-     *
-     * @return The source's terminal status.
-     */
-    Status run(trace::RequestSource &src);
-
-    /** Write the trace-derived figures into `c` (after finish()). */
-    void fill(DriveCharacterization &c) const;
-
-  private:
-    std::string drive_id_;
-    BurstinessAccumulator burstiness_;
-    RwMixAccumulator rwmix_;
-    TraceTotalsAccumulator totals_;
-    CharacterizationPass pass_;
-};
-
-/**
- * Complete a characterization from a finished MsTracePass and what
- * the disk model produced for the same stream: the service log (for
- * utilization and idleness) and the responses (mean, p95, p99).  The
- * log's completions are not read, so a run that served into a
+ * Complete the finished trace half of a characterization (what
+ * LiveCharacterization::finish() or foldTrace() returns: drive id,
+ * burstiness, read/write dynamics, arrival rate, read fraction) with
+ * what the disk model produced for the same stream: the service log
+ * (for utilization and idleness) and the responses (mean, p95, p99).
+ * The log's completions are not read, so a run that served into a
  * ResponseLog sink need not keep them.  `responses` is reordered by
  * the quantile selection.  Both analyze modes assemble their report
  * here.
  */
-DriveCharacterization characterizeMs(const MsTracePass &trace,
+DriveCharacterization characterizeMs(DriveCharacterization trace_half,
                                      const disk::ServiceLog &log,
                                      disk::ResponseLog &responses);
 
 /**
  * Characterize a drive from a streaming request source and the
- * service log the disk model produced for it: one MsTracePass trip
+ * service log the disk model produced for it: one foldTrace() trip
  * over the source (peak memory O(batch) plus bounded accumulator
  * state), then the log-derived half.
+ *
+ * Throws StatusError when the fold refuses the stream (a zero-length
+ * request, an arrival out of order or outside the window) or the
+ * source ends with an error.
  */
 DriveCharacterization characterizeMs(trace::RequestSource &src,
                                      const disk::ServiceLog &log);

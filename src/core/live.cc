@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/json.hh"
+#include "obs/span.hh"
 
 namespace dlw
 {
@@ -64,10 +65,10 @@ LiveCharacterization::LiveCharacterization(trace::MsStreamHeader meta)
     : meta_(std::move(meta)),
       ready_(meta_.start, meta_.start + meta_.duration)
 {
-    MetaSource src(meta_);
-    burstiness_.begin(src);
-    rwmix_.begin(src);
-    totals_.begin(src);
+    pass_.add(burstiness_);
+    pass_.add(rwmix_);
+    pass_.add(totals_);
+    pass_.begin(MetaSource(meta_));
 }
 
 Status
@@ -76,9 +77,7 @@ LiveCharacterization::observe(const trace::RequestBatch &batch)
     const trace::ReadyVerdict v = ready_.check(batch);
     if (!v.ok())
         return refusal(batch, v, n_, ready_.prev());
-    burstiness_.observe(batch);
-    rwmix_.observe(batch);
-    totals_.observe(batch);
+    pass_.observe(batch);
     n_ += batch.size();
     return Status();
 }
@@ -148,11 +147,26 @@ LiveCharacterization::finish()
 {
     if (!finished_) {
         finished_ = true;
-        burstiness_.finish();
-        rwmix_.finish();
-        totals_.finish();
+        pass_.finish();
     }
     return assemble(burstiness_, rwmix_, totals_);
+}
+
+StatusOr<DriveCharacterization>
+foldTrace(trace::RequestSource &src, std::size_t batch_requests)
+{
+    obs::ScopedSpan span("trace-pass");
+    LiveCharacterization live(
+        trace::MsStreamHeader{src.driveId(), src.start(), src.duration()});
+    trace::RequestBatch batch(batch_requests);
+    while (src.next(batch)) {
+        Status s = live.observe(batch);
+        if (!s.ok())
+            return s;
+    }
+    if (!src.status().ok())
+        return src.status();
+    return live.finish();
 }
 
 std::string

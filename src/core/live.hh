@@ -13,15 +13,19 @@
  * totals) are *copied* to produce a mid-stream snapshot — finish()
  * runs on the copy, so the live state keeps accumulating untouched.
  *
- * The result of finish() is byte-identical to running the same
- * records through `dlwtool characterize` (both assemble the same
- * trace-derived subset of DriveCharacterization), which is the
- * contract the connection-storm harness asserts.
+ * It is the one trace-derived fold: daemon sessions push batches,
+ * and `dlwtool characterize`, both analyze modes and characterizeMs
+ * fold through it too (the streamed analyze from inside the drive
+ * engine's decode trip, the others with foldTrace()).  So a daemon
+ * session's final report is byte-identical to `dlwtool characterize`
+ * over the same file, which is the contract the connection-storm
+ * harness asserts, and to the trace half of `dlwtool analyze`.
  */
 
 #ifndef DLW_CORE_LIVE_HH
 #define DLW_CORE_LIVE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -49,12 +53,19 @@ namespace core
  * arrival order, snapshot() at will, finish() exactly once at
  * end-of-stream.  observe() validates the whole-trace invariants
  * incrementally (sorted arrivals, inside the window, nonzero sizes)
- * and returns InvalidArgument when the stream violates them.
+ * and returns InvalidArgument when the stream violates them.  The
+ * accumulators are fed through one CharacterizationPass, begun here
+ * with the header, so the core.pass.* metrics count every fold.
  */
 class LiveCharacterization
 {
   public:
     explicit LiveCharacterization(trace::MsStreamHeader meta);
+
+    // The pass points at this object's own accumulators.
+    LiveCharacterization(const LiveCharacterization &) = delete;
+    LiveCharacterization &operator=(const LiveCharacterization &) =
+        delete;
 
     /** Stream metadata in force. */
     const trace::MsStreamHeader &meta() const { return meta_; }
@@ -111,10 +122,22 @@ class LiveCharacterization
     BurstinessAccumulator burstiness_;
     RwMixAccumulator rwmix_;
     TraceTotalsAccumulator totals_;
+    CharacterizationPass pass_;
     trace::ReadyChecker ready_;
     std::uint64_t n_ = 0;
     bool finished_ = false;
 };
+
+/**
+ * The pulled form of the fold: a LiveCharacterization over `src`'s
+ * header observes every batch of `src`, under a "trace-pass" span.
+ *
+ * @return The finished trace half, else the first refusal, else the
+ *         source's terminal error.
+ */
+StatusOr<DriveCharacterization>
+foldTrace(trace::RequestSource &src,
+          std::size_t batch_requests = trace::kDefaultBatchRequests);
 
 /**
  * Render a characterization as a single-line JSON object (the

@@ -123,8 +123,8 @@ class TraceTotalsAccumulator : public TraceAccumulator
  * Drive a set of accumulators over one request stream in a single
  * decode trip.  Accumulators are borrowed, not owned; add() them
  * before the pass begins.  run() pulls the source itself; a caller
- * that already consumes the stream (the drive engine, in a streamed
- * analyze) pushes the batches instead with begin(), observe() and
+ * that is handed the batches (LiveCharacterization, the one
+ * trace-derived fold) pushes them instead with begin(), observe() and
  * finish().
  */
 class CharacterizationPass

@@ -4,10 +4,10 @@
  * inside the observation window.
  *
  * Every consumer that takes a request stream without sorting it
- * first — the live fold, the streamed analyze, the drive engine and
- * MsTrace::checkValid() — applies the same three rules in the same
- * order.  ReadyChecker is that rule set, carried incrementally across
- * records and batches.  It renders no text: it returns a reason code
+ * first — the live fold (which the streamed analyze folds through),
+ * the drive engine and MsTrace::checkValid() — applies the same three
+ * rules in the same order.  ReadyChecker is that rule set, carried
+ * incrementally across records and batches.  It renders no text: it returns a reason code
  * and the first violating index, and each caller words the failure
  * its own way, only once a record has failed.
  */

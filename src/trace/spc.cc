@@ -1,6 +1,7 @@
 #include "trace/spc.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <ostream>
 
@@ -50,6 +51,11 @@ parseSpcLine(std::string_view t, int asu, bool clamp, Request &r,
     if (size_bytes > std::uint64_t{std::numeric_limits<BlockCount>::max()} *
                          kBlockBytes)
         return quoted("blocks out of range", f[2]);
+    // NaN, ±inf and tick counts past 2^63 have no Tick; finite
+    // negatives are left to the negative-timestamp repair below.
+    if (!std::isfinite(ts) ||
+        ts * static_cast<double>(kSec) + 0.5 >= 0x1p63)
+        return quoted("timestamp out of range", f[4]);
 
     std::string why;
     if (size_bytes == 0 || size_bytes % kBlockBytes != 0) {

@@ -21,7 +21,10 @@
 #include "core/analyze.hh"
 #include "synth/workload.hh"
 #include "trace/binio.hh"
+#include "trace/corrupt.hh"
 #include "trace/csvio.hh"
+#include "trace/spc.hh"
+#include "trace/stream.hh"
 
 namespace dlw
 {
@@ -238,6 +241,98 @@ TEST(Analyze, OutOfRangeBlocksRefusedUnderEveryPolicy)
                                   trace::RecordPolicy::kBestEffortClamp,
                                   trace::RecordPolicy::kAbort})
         expectStreamedEqualsWholeTrace(path, p);
+}
+
+/** Set the lba field of record line `i` (headers excluded). */
+void
+setLba(std::vector<std::string> &lines, std::size_t i,
+       const std::string &lba)
+{
+    std::string &l = lines[2 + i];
+    const std::size_t a = l.find(',');
+    const std::size_t b = l.find(',', a + 1);
+    l = l.substr(0, a + 1) + lba + l.substr(b);
+}
+
+TEST(Analyze, RecordPastTheDriveRefusedUnderEveryPolicy)
+{
+    // The readers know no capacity, so no policy repairs this: the
+    // whole-trace path refuses after sort + validate, and a streamed
+    // trip falls back to it.  Never the model's capacity assert.
+    const trace::MsTrace tr = sample();
+    const Lba cap = AnalyzeOptions().drive.geometry.capacityBlocks();
+    for (const std::string &lba :
+         {std::to_string(cap - 4), std::to_string(cap),
+          std::string("18446744073709551615")}) {
+        SCOPED_TRACE("lba " + lba);
+        std::vector<std::string> lines = csvLines(tr);
+        setLba(lines, 8500, lba);
+        setBlocks(lines, 8500, "8");
+        const std::string csv = writeTemp(join(lines), ".csv");
+        trace::MsTrace bad = trace::readMsFile(csv, trace::IngestOptions())
+                                 .valueOrThrow();
+        std::ostringstream bin;
+        trace::writeMsBinary(bin, bad);
+        const std::string binp = writeTemp(bin.str(), ".bin");
+
+        const Outcome want{
+            "", "[CorruptData] trace 'analyze-drive': request past the "
+                "drive's capacity of " +
+                    std::to_string(cap) + " blocks (lba " + lba +
+                    ", 8 blocks)"};
+        for (const std::string &path : {csv, binp}) {
+            for (trace::RecordPolicy p :
+                 {trace::RecordPolicy::kSkipAndCount,
+                  trace::RecordPolicy::kBestEffortClamp,
+                  trace::RecordPolicy::kAbort}) {
+                expectStreamedEqualsWholeTrace(path, p, &want);
+                const Outcome one = analyze(path, true, 1, p);
+                EXPECT_EQ(one.out, want.out);
+                EXPECT_EQ(one.error, want.error);
+            }
+        }
+    }
+    // The last block of the drive is still on it.
+    std::vector<std::string> lines = csvLines(tr);
+    setLba(lines, 8500, std::to_string(cap - 8));
+    setBlocks(lines, 8500, "8");
+    const Outcome edge = analyze(writeTemp(join(lines), ".csv"), true, 7);
+    EXPECT_TRUE(edge.error.empty()) << edge.error;
+}
+
+TEST(Analyze, BitflippedSpcPastTheDriveIsARefusalNotAPanic)
+{
+    // `corrupt --mode bitflip --seed 2 --count 20` of an SPC export
+    // flips an lba past the drive's capacity; under clamp and skip
+    // the record survives ingest and must be refused, not served.
+    // Addresses across the whole drive, so lbas have all 9 digits.
+    Rng rng(5);
+    const Lba cap = AnalyzeOptions().drive.geometry.capacityBlocks();
+    synth::Workload w = synth::Workload::makeOltp(cap, 100.0, 5);
+    std::ostringstream spc;
+    trace::writeSpc(spc, w.generate(rng, "spc-drive", 0, 30 * kSec));
+    trace::CorruptSpec spec;
+    spec.mode = trace::CorruptMode::kBitFlip;
+    spec.seed = 2;
+    spec.count = 20;
+    const std::string path = writeTemp(
+        trace::corruptBuffer(spc.str(), spec).valueOrThrow(), ".spc");
+    for (trace::RecordPolicy p : {trace::RecordPolicy::kSkipAndCount,
+                                  trace::RecordPolicy::kBestEffortClamp}) {
+        SCOPED_TRACE(trace::recordPolicyName(p));
+        const Outcome o = analyze(path, true, 4096, p);
+        EXPECT_EQ(o.out.rfind("ingestion: read ", 0), 0u) << o.out;
+        EXPECT_EQ(o.error.rfind("[CorruptData] trace '" + path +
+                                    "': request past the drive's capacity",
+                                0),
+                  0u)
+            << o.error;
+        const Outcome off = analyze(path, false, 4096, p);
+        EXPECT_EQ(off.out, o.out);
+        EXPECT_EQ(off.error, o.error);
+    }
+    EXPECT_NE(analyze(path, true, 4096).error.find("[CorruptData]"),
+              std::string::npos);
 }
 
 TEST(Analyze, AllCacheHitTraceStreamedEqualsWholeTrace)

@@ -68,10 +68,10 @@ TEST(Characterize, ResponseLogSinkRendersTheSameReport)
     trace::MsTraceSource served(tr);
     const disk::ServiceLog log = drive.service(served, &responses);
     ASSERT_TRUE(log.completions.empty());
-    MsTracePass pass;
     trace::MsTraceSource src(tr);
-    pass.run(src);
-    EXPECT_EQ(characterizeMs(pass, log, responses).render(), want);
+    EXPECT_EQ(characterizeMs(foldTrace(src).valueOrThrow(), log, responses)
+                  .render(),
+              want);
 }
 
 /** Every field of two Hurst estimates, doubles compared with ==. */

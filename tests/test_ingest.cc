@@ -769,6 +769,53 @@ TEST(SpcPins, InjectedFaultsAndPathContext)
                 "injected fault at trace.open on '" + dirty + "'");
 }
 
+TEST(SpcPins, TimestampOutOfRangeIsRefused)
+{
+    // No Tick holds these: once cast anyway, then written back with
+    // arrival INT64_MIN.  Refused under every policy, never clamped.
+    const char *ok1 = "0,1,512,r,0.001";
+    const char *ok2 = "0,6,512,w,0.002";
+    const std::string in =
+        text({ok1, "0,2,512,r,nan", "0,3,512,r,inf", "0,4,1024,w,-inf",
+              "0,5,512,r,1e300", ok2});
+    const std::vector<std::string> whys = {
+        "SPC line 2: timestamp out of range 'nan'",
+        "SPC line 3: timestamp out of range 'inf'",
+        "SPC line 4: timestamp out of range '-inf'",
+        "SPC line 5: timestamp out of range '1e300'"};
+    for (RecordPolicy p : kPolicies) {
+        SCOPED_TRACE(recordPolicyName(p));
+        std::istringstream is(in);
+        IngestStats st;
+        auto r = readSpc(is, "spc", under(p), &st);
+        if (p == RecordPolicy::kAbort) {
+            expectError(r, StatusCode::kCorruptData, whys[0]);
+            expectStats(st, {1, 0, 0, 1, bytesOf({ok1}), 0, {whys[0]}});
+            continue;
+        }
+        ASSERT_TRUE(r.ok()) << r.status().toString();
+        ASSERT_EQ(r.value().size(), 2u);
+        EXPECT_EQ(r.value().at(0).lba, 1u);
+        EXPECT_EQ(r.value().at(1).lba, 6u);
+        EXPECT_EQ(r.value().duration(), 2 * kMsec + 1);
+        expectStats(st,
+                    {2, 4, 0, 4, bytesOf({ok1, ok2}), bytesOf({ok2}), whys});
+    }
+    // The last whole second before 2^63 ticks still fits; a finite
+    // negative is still the negative-timestamp case.
+    std::istringstream fits("0,1,512,r,9223372036\n0,2,512,r,-1e300\n");
+    IngestStats st;
+    auto r = readSpc(fits, "spc", under(RecordPolicy::kBestEffortClamp),
+                     &st);
+    ASSERT_TRUE(r.ok()) << r.status().toString();
+    ASSERT_EQ(r.value().size(), 2u);
+    EXPECT_EQ(r.value().at(0).arrival, 0);
+    EXPECT_EQ(r.value().at(1).arrival, 9223372036 * kSec);
+    EXPECT_EQ(st.records_clamped, 1u);
+    EXPECT_EQ(st.error_samples,
+              std::vector<std::string>{"SPC line 2: negative timestamp"});
+}
+
 TEST(SpcPins, BlockCountOutOfRangeIsRefused)
 {
     // 2^41 bytes is 2^32 blocks: once narrowed to 0, then a panic.

@@ -346,23 +346,9 @@ cmdCharacterize(const dlw::Options &opts)
         dlw_fatal("characterize needs --in");
     const trace::IngestOptions io = ingestOptions(opts);
     auto src = trace::openMsSource(in, io).valueOrThrow();
-
-    trace::MsStreamHeader meta;
-    meta.drive_id = src->driveId();
-    meta.start = src->start();
-    meta.duration = src->duration();
-    core::LiveCharacterization live(meta);
-
-    trace::RequestBatch batch(batchOption(opts));
-    while (src->next(batch)) {
-        Status s = live.observe(batch);
-        if (!s.ok())
-            throw StatusError(s);
-    }
-    Status st = src->status();
-    if (!st.ok())
-        throw StatusError(st);
-    std::cout << live.finish().render();
+    std::cout << core::foldTrace(*src, batchOption(opts))
+                     .valueOrThrow()
+                     .render();
     return 0;
 }
 
