@@ -60,7 +60,12 @@ class ReadyCheckSource final : public trace::RequestSource
     {
         if (!ready_ || !inner_.next(batch))
             return false;
-        ready_ = onDrive(batch) && fold(batch);
+        for (std::size_t i = 0; i < batch.size() && ready_; ++i)
+            ready_ = !beyond(batch.lba(i), batch.blocks(i), capacity_);
+        if (ready_) {
+            obs::ScopedSpan span("trace-pass");
+            ready_ = live_.observe(batch).ok();
+        }
         if (!ready_)
             batch.clear();
         return ready_;
@@ -70,24 +75,6 @@ class ReadyCheckSource final : public trace::RequestSource
     bool ready() const { return ready_; }
 
   private:
-    bool
-    onDrive(const trace::RequestBatch &batch) const
-    {
-        const Lba *lbas = batch.lbasData();
-        const BlockCount *blocks = batch.blocksData();
-        bool out = false;
-        for (std::size_t i = 0; i < batch.size(); ++i)
-            out |= beyond(lbas[i], blocks[i], capacity_);
-        return !out;
-    }
-
-    bool
-    fold(const trace::RequestBatch &batch)
-    {
-        obs::ScopedSpan span("trace-pass");
-        return live_.observe(batch).ok();
-    }
-
     trace::RequestSource &inner_;
     LiveCharacterization &live_;
     Lba capacity_;
